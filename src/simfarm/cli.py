@@ -487,9 +487,8 @@ def _cmd_casestudy(args) -> int:
          / (simkit.ALTITUDE_RANGE_FT[1] - simkit.ALTITUDE_RANGE_FT[0]) * bins).astype(int),
         0, bins - 1,
     )
-    for s_bin, a_bin, f in zip(si, ai, fuel):
-        sums[a_bin, s_bin] += f
-        counts[a_bin, s_bin] += 1
+    np.add.at(sums, (ai, si), fuel)
+    np.add.at(counts, (ai, si), 1)
     with np.errstate(invalid="ignore"):
         grid = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     emit_plot(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, ParseError
 from .rng import substream
-from .tables import format_float
+from .tables import CSV_BLOCK_ROWS, format_floats
 
 __all__ = [
     "Continuous",
@@ -34,6 +34,7 @@ __all__ = [
     "lhs_design",
     "validate_design",
     "write_design",
+    "write_design_rows",
     "read_design",
     "load_factors",
     "dump_factors",
@@ -240,24 +241,36 @@ def validate_design(design: Design) -> DesignValidation:
 # -- serialization -----------------------------------------------------------
 
 
+def _format_cells(kind: FactorKind, values: np.ndarray) -> list[str]:
+    """Design CSV cells of one factor's values."""
+    if isinstance(kind, Continuous):
+        return format_floats(values)
+    if isinstance(kind, Integer):
+        return [str(int(v)) for v in values.tolist()]
+    if isinstance(kind, Boolean):
+        return ["true" if v else "false" for v in values.tolist()]
+    return [str(v) for v in values]
+
+
+def write_design_rows(writer, design: Design, index: np.ndarray | None = None) -> None:
+    """Write ``design``'s rows to a ``csv.writer``, each prefixed by ``index`` if given.
+
+    Cells are formatted a block of rows at a time, column by column.
+    """
+    for lo in range(0, design.n, CSV_BLOCK_ROWS):
+        block = slice(lo, lo + CSV_BLOCK_ROWS)
+        cols = [_format_cells(f.kind, design.columns[f.name][block]) for f in design.factors]
+        if index is not None:
+            cols.insert(0, index[block].tolist())
+        writer.writerows(zip(*cols))
+
+
 def write_design(design: Design, path) -> None:
     """Design CSV: header row of factor names, RFC-4180 quoting, LF endings."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f.name for f in design.factors])
-        for i in range(design.n):
-            row = []
-            for f in design.factors:
-                v = design.columns[f.name][i]
-                if isinstance(f.kind, Continuous):
-                    row.append(format_float(v))
-                elif isinstance(f.kind, Integer):
-                    row.append(str(int(v)))
-                elif isinstance(f.kind, Boolean):
-                    row.append("true" if v else "false")
-                else:
-                    row.append(str(v))
-            writer.writerow(row)
+        write_design_rows(writer, design)
 
 
 def read_design(path, factors: Sequence[FactorSpec]) -> Design:

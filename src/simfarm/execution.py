@@ -1,11 +1,13 @@
 """Chunked batch execution with early stopping.
 
 ``run_batches`` splits a design into row-order chunks, hands each chunk to a
-runner, and evaluates a stop criterion on cumulative results after every
-chunk.  Runners must return exactly one result row per input row, aligned by
-design-row index; failed executions are rows with status ``failed``, never
-dropped.  Rows inside a chunk may be computed in parallel by the runner, but
-chunk boundaries are strict synchronization points.
+runner, and passes each chunk's result to a stop criterion, which keeps
+whatever running state it needs.  Runners must return exactly one result row
+per input row, aligned by design-row index; failed executions are rows with
+status ``failed``, never dropped.  Rows inside a chunk may be computed in
+parallel by the runner, but chunk boundaries are strict synchronization
+points.  The chunk results are concatenated once, after the last chunk, so a
+run costs time linear in the rows executed.
 """
 
 from __future__ import annotations
@@ -20,19 +22,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .doe import Continuous, Design, Boolean, Integer
+from .doe import Design, write_design_rows
 from .errors import (
     ConfigurationError,
     ContractViolationError,
     CriterionError,
     InvalidArgumentError,
 )
-from .tables import (
-    RESERVED_INDEX,
-    STATUS_FAILED,
-    ResultTable,
-    format_float,
-)
+from .tables import RESERVED_INDEX, STATUS_FAILED, ResultTable
 
 __all__ = [
     "DesignChunk",
@@ -62,7 +59,7 @@ class DesignChunk:
 
 
 Runner = Callable[[DesignChunk], ResultTable]
-StopCriterion = Callable[[ResultTable, ResultTable], bool]
+StopCriterion = Callable[[ResultTable], bool]
 
 STOP_CRITERION_MET = "criterion_met"
 STOP_DESIGN_EXHAUSTED = "design_exhausted"
@@ -100,6 +97,18 @@ def _check_contract(result: ResultTable, chunk: DesignChunk) -> None:
         raise ContractViolationError("runner result indices are misaligned with the chunk")
 
 
+def _fill_failed(result: ResultTable, template: ResultTable) -> ResultTable:
+    """Give a column-less, all-failed chunk ``template``'s columns, all missing."""
+    if result.columns or result.ok_mask().any():
+        return result
+    columns = {
+        name: np.full(result.n_rows, np.nan) if arr.dtype.kind == "f"
+        else np.full(result.n_rows, None, dtype=object)
+        for name, arr in template.columns.items()
+    }
+    return ResultTable(index=result.index, status=result.status, columns=columns)
+
+
 def run_batches(
     design: Design,
     runner: Runner,
@@ -108,9 +117,12 @@ def run_batches(
 ) -> tuple[ResultTable, ExecutionReport]:
     """Run ``design`` through ``runner`` in sequential chunks.
 
-    After each chunk the criterion is called as
-    ``criterion(cumulative_after, cumulative_before)``; a true return skips
-    the remaining chunks.  ``criterion=None`` always runs to exhaustion.
+    After each chunk the criterion is called once as ``criterion(chunk_result)``
+    with that chunk's rows only; a true return skips the remaining chunks.
+    ``criterion=None`` always runs to exhaustion.  The chunk results are
+    concatenated once at the end.  A chunk that comes back with no columns
+    and every row failed (a failed external command) gets the run's columns
+    there, filled with missing values, so it costs only its own rows.
     """
     if chunk_size < 1:
         raise InvalidArgumentError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -118,7 +130,7 @@ def run_batches(
     if n == 0:
         raise InvalidArgumentError("design is empty")
 
-    cumulative = None
+    chunk_results: list[ResultTable] = []
     chunk_seconds: list[float] = []
     stop_reason = STOP_DESIGN_EXHAUSTED
     stop_chunk: int | None = None
@@ -133,11 +145,10 @@ def run_batches(
         result = runner(chunk)
         chunk_seconds.append(time.perf_counter() - t0)
         _check_contract(result, chunk)
-        before = cumulative if cumulative is not None else ResultTable.empty(result.column_names)
-        cumulative = ResultTable.concat([before, result]) if before.n_rows else result
+        chunk_results.append(result)
         if criterion is not None:
             try:
-                should_stop = bool(criterion(cumulative, before))
+                should_stop = bool(criterion(result))
             except ConfigurationError:
                 raise
             except Exception as exc:
@@ -149,41 +160,56 @@ def run_batches(
                 stop_chunk = c + 1
                 break
 
+    template = next((r for r in chunk_results if r.columns), None)
+    if template is not None:
+        chunk_results = [_fill_failed(r, template) for r in chunk_results]
+    results = ResultTable.concat(chunk_results)
     report = ExecutionReport(
         chunks_executed=len(chunk_seconds),
-        rows_executed=cumulative.n_rows,
+        rows_executed=results.n_rows,
         stop_reason=stop_reason,
         stop_chunk=stop_chunk,
         chunk_seconds=chunk_seconds,
     )
-    return cumulative, report
+    return results, report
 
 
 def mean_convergence_criterion(metric: str, epsilon: float, floor: float = 1e-9) -> StopCriterion:
     """Stop when the cumulative mean of ``metric`` over ok rows settles.
 
-    Stops iff ``|m_now - m_prev| / max(|m_prev|, floor) < epsilon``.  Returns
-    false on the first chunk (empty prior table) and whenever either side has
-    no ok rows yet.  Failed rows never contribute to the means.
+    The returned criterion is called once per chunk with that chunk's result
+    and keeps a running sum and count of the metric over ok rows, so it
+    serves exactly one run: build a fresh one for every ``run_batches`` call.
+
+    Stops iff ``|m_now - m_prev| / max(|m_prev|, floor) < epsilon``, where
+    ``m_prev`` and ``m_now`` are the means over all ok rows before and after
+    the chunk.  Returns false on the first chunk and whenever either side has
+    no ok rows yet.  Failed rows never contribute to the means, and a chunk
+    without ok rows need not carry the metric column.
     """
     if epsilon <= 0:
         raise InvalidArgumentError(f"epsilon must be > 0, got {epsilon}")
     if floor <= 0:
         raise InvalidArgumentError(f"floor must be > 0, got {floor}")
+    total = 0.0
+    count = 0
 
-    def criterion(now: ResultTable, prev: ResultTable) -> bool:
-        if prev.n_rows == 0:
+    def criterion(chunk: ResultTable) -> bool:
+        nonlocal total, count
+        prev_total, prev_count = total, count
+        ok = chunk.ok_mask()
+        if ok.any():
+            if metric not in chunk.columns:
+                raise ConfigurationError(
+                    f"convergence metric column {metric!r} not present in results"
+                )
+            values = chunk.column(metric)[ok]
+            total += float(np.sum(values))
+            count += values.size
+        if prev_count == 0 or count == 0:
             return False
-        if metric not in now.columns:
-            raise ConfigurationError(
-                f"convergence metric column {metric!r} not present in results"
-            )
-        ok_now = now.column(metric)[now.ok_mask()]
-        ok_prev = prev.column(metric)[prev.ok_mask()]
-        if ok_now.size == 0 or ok_prev.size == 0:
-            return False
-        m_now = float(np.mean(ok_now))
-        m_prev = float(np.mean(ok_prev))
+        m_now = total / count
+        m_prev = prev_total / prev_count
         return abs(m_now - m_prev) / max(abs(m_prev), floor) < epsilon
 
     return criterion
@@ -209,19 +235,7 @@ class SubprocessRunner:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([RESERVED_INDEX, *(f.name for f in design.factors)])
-            for i in range(design.n):
-                row = [str(int(chunk.indices[i]))]
-                for f in design.factors:
-                    v = design.columns[f.name][i]
-                    if isinstance(f.kind, Continuous):
-                        row.append(format_float(v))
-                    elif isinstance(f.kind, Integer):
-                        row.append(str(int(v)))
-                    elif isinstance(f.kind, Boolean):
-                        row.append("true" if v else "false")
-                    else:
-                        row.append(str(v))
-                writer.writerow(row)
+            write_design_rows(writer, design, index=chunk.indices)
 
     def __call__(self, chunk: DesignChunk) -> ResultTable:
         with tempfile.TemporaryDirectory(prefix="simfarm-chunk-") as tmp:

@@ -121,8 +121,6 @@ class CartTree:
         return float(np.argmax(counts))  # ties to the smallest class code
 
     def _is_pure(self, y: np.ndarray) -> bool:
-        if self.task == "regression":
-            return bool(np.all(y == y[0]))
         return bool(np.all(y == y[0]))
 
     def _new_node(self) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["splitmix64", "stream_index", "substream"]
+__all__ = ["splitmix64", "stream_index", "substream", "first_standard_normals"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,3 +47,31 @@ def substream(seed: int, *indices: int) -> np.random.Generator:
     """Independent generator for the stream ``(seed, *indices)``."""
     key = np.array([int(seed) & _MASK64, stream_index(*indices)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def first_standard_normals(seed: int, indices) -> np.ndarray:
+    """``substream(seed, i).standard_normal()`` for every ``i`` in ``indices``.
+
+    Bit-identical to building each stream, but one Philox bit generator and
+    one Generator are reused: per index the state is reset to key
+    ``[seed, stream_index(i)]`` and counter 0, with the output buffer marked
+    as used up, which is exactly the state a fresh ``Philox(key=...)`` has.
+    """
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {
+        "bit_generator": "Philox",
+        "state": fresh,
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # buffer used up: the first draw computes a new block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    seed_word = int(seed) & _MASK64
+    out = np.empty(len(indices), dtype=np.float64)
+    for j, i in enumerate(np.asarray(indices).tolist()):
+        fresh["key"] = np.array([seed_word, stream_index(i)], dtype=np.uint64)
+        bitgen.state = state
+        out[j] = gen.standard_normal()
+    return out

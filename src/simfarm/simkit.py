@@ -26,7 +26,7 @@ import numpy as np
 from .doe import Continuous, FactorSpec
 from .errors import CalibrationError, ContractViolationError, DomainError
 from .execution import DesignChunk, register_runner
-from .rng import substream
+from .rng import first_standard_normals
 from .tables import STATUS_OK, ResultTable
 
 __all__ = [
@@ -154,13 +154,7 @@ def simulate_navigation(chunk: DesignChunk, params: FuelModelParams, seed: int =
     tof = time_of_flight_s(speed, params)
     fuel = total_fuel_lb(speed, altitude, params)
     if params.noise_sigma > 0.0:
-        factors = np.array(
-            [
-                np.exp(params.noise_sigma * substream(seed, int(idx)).standard_normal())
-                for idx in chunk.indices
-            ]
-        )
-        fuel = fuel * factors
+        fuel = fuel * np.exp(params.noise_sigma * first_standard_normals(seed, chunk.indices))
     return ResultTable(
         index=chunk.indices,
         status=np.array([STATUS_OK] * chunk.n, dtype=object),

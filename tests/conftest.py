@@ -1,9 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from simfarm.analysis.pareto import _non_dominated_mask
 from simfarm.analysis.special import betainc, gammainc_p, norm_ppf_vec
 from simfarm.models.tree import _scan_splits_gini, _scan_splits_sse
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Interpreters the tests start (``python -m simfarm``) import this source tree too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -101,7 +101,7 @@ def test_c02_execution_prefix():
 
     full, full_report = run_batches(design, runner, None, 100)
     stopped, report = run_batches(
-        design, runner, lambda now, prev: now.n_rows >= 200, 100
+        design, runner, lambda chunk: chunk.index[-1] + 1 >= 200, 100
     )
     assert report.rows_executed == 200
     assert report.chunks_executed == 2

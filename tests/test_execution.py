@@ -4,6 +4,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simfarm.doe import Continuous, FactorSpec, lhs_design
 from simfarm.errors import (
@@ -32,8 +34,12 @@ def echo_runner(chunk: DesignChunk) -> ResultTable:
 
 
 def scripted_criterion(stop_after_chunk: int, chunk_size: int):
-    def criterion(now: ResultTable, prev: ResultTable) -> bool:
-        return now.n_rows >= stop_after_chunk * chunk_size
+    rows_seen = 0
+
+    def criterion(chunk: ResultTable) -> bool:
+        nonlocal rows_seen
+        rows_seen += chunk.n_rows
+        return rows_seen >= stop_after_chunk * chunk_size
 
     return criterion
 
@@ -50,7 +56,7 @@ class TestRunBatches:
 
     def test_never_stopping_exhausts_design(self):
         design = lhs_design(FACTORS, 1000, seed=1)
-        results, report = run_batches(design, echo_runner, lambda now, prev: False, 100)
+        results, report = run_batches(design, echo_runner, lambda chunk: False, 100)
         assert report.rows_executed == 1000
         assert report.stop_reason == "design_exhausted"
         assert report.stop_chunk is None
@@ -114,7 +120,7 @@ class TestRunBatches:
             run_batches(design, bad, None, 10)
 
     def test_raising_criterion_aborts_with_diagnostic(self):
-        def exploding(now, prev):
+        def exploding(chunk):
             raise RuntimeError("boom")
 
         design = lhs_design(FACTORS, 20, seed=0)
@@ -137,50 +143,65 @@ class TestRunBatches:
         assert report.rows_executed == 30
         assert results.ok_mask().sum() == 15
 
+    def test_ten_chunks_concatenate_once(self, monkeypatch):
+        calls = []
+        concat = ResultTable.concat
+
+        def counting(tables):
+            tables = list(tables)
+            calls.append(len(tables))
+            return concat(tables)
+
+        monkeypatch.setattr(ResultTable, "concat", staticmethod(counting))
+        design = lhs_design(FACTORS, 100, seed=2)
+        results, report = run_batches(design, echo_runner, lambda chunk: False, 10)
+        assert report.chunks_executed == 10
+        assert calls == [10]
+        assert np.array_equal(results.column("x_out"), design.column("x"))
+
+
+def ok_table(values, start=0) -> ResultTable:
+    n = len(values)
+    return ResultTable(
+        index=np.arange(start, start + n),
+        status=np.array(["ok"] * n, dtype=object),
+        columns={"m": np.asarray(values, dtype=float)},
+    )
+
 
 class TestMeanConvergence:
-    def run(self, criterion, now_values, prev_values):
-        def table(values):
-            n = len(values)
-            return ResultTable(
-                index=np.arange(n),
-                status=np.array(["ok"] * n, dtype=object),
-                columns={"m": np.asarray(values, dtype=float)},
-            )
-
-        return criterion(table(now_values), table(prev_values))
-
     def test_small_relative_change_stops(self):
         crit = mean_convergence_criterion("m", epsilon=0.01)
+        assert crit(ok_table([10.0] * 5)) is False
         # m_prev = 10.00, m_now = 10.04: relative change 0.004 < 0.01
-        assert self.run(crit, [10.04] * 10, [10.0] * 5) is True
+        assert crit(ok_table([10.08] * 5, start=5)) is True
 
     def test_floor_guards_zero_mean(self):
         crit = mean_convergence_criterion("m", epsilon=0.01, floor=1e-9)
-        assert self.run(crit, [0.1] * 10, [0.0] * 5) is False
+        assert crit(ok_table([0.0] * 5)) is False
+        assert crit(ok_table([0.2] * 5, start=5)) is False  # m_now = 0.1 against a zero mean
 
     def test_first_chunk_is_false(self):
         crit = mean_convergence_criterion("m", epsilon=0.5)
-        now = ResultTable(
-            index=np.arange(3),
-            status=np.array(["ok"] * 3, dtype=object),
-            columns={"m": np.array([1.0, 1.0, 1.0])},
-        )
-        assert crit(now, ResultTable.empty(["m"])) is False
+        assert crit(ok_table([1.0, 1.0, 1.0])) is False
 
     def test_failed_rows_excluded_from_mean(self):
         crit = mean_convergence_criterion("m", epsilon=0.01)
-        prev = ResultTable(
+        first = ResultTable(
             index=np.arange(4),
             status=np.array(["ok", "ok", "failed", "failed"], dtype=object),
             columns={"m": np.array([10.0, 10.0, 999.0, 999.0])},
         )
-        now = ResultTable(
-            index=np.arange(8),
-            status=np.array(["ok"] * 2 + ["failed"] * 2 + ["ok"] * 4, dtype=object),
-            columns={"m": np.array([10.0, 10.0, 999.0, 999.0, 10.0, 10.0, 10.0, 10.0])},
+        assert crit(first) is False
+        assert crit(ok_table([10.0] * 4, start=4)) is True  # failed 999s never pollute the means
+
+    def test_chunk_without_ok_rows_needs_no_metric_column(self):
+        crit = mean_convergence_criterion("m", epsilon=0.01)
+        failed = ResultTable(
+            index=np.arange(3), status=np.array(["failed"] * 3, dtype=object), columns={}
         )
-        assert crit(now, prev) is True  # failed 999s never pollute the means
+        assert crit(failed) is False  # no ok rows on either side yet
+        assert crit(ok_table([10.0] * 3, start=3)) is False  # first chunk with ok rows
 
     def test_missing_metric_is_configuration_error(self):
         crit = mean_convergence_criterion("absent", epsilon=0.01)
@@ -193,6 +214,50 @@ class TestMeanConvergence:
             mean_convergence_criterion("m", epsilon=0.0)
         with pytest.raises(InvalidArgumentError):
             mean_convergence_criterion("m", epsilon=0.1, floor=0.0)
+
+    @given(
+        chunk_size=st.integers(1, 6),
+        n_chunks=st.integers(1, 10),
+        epsilon=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_cumulative_mean_replay(self, chunk_size, n_chunks, epsilon, data):
+        n = chunk_size * n_chunks
+        # means stay >= 1, away from the floor, where rounding barely moves the relative change
+        values = np.array(data.draw(st.lists(st.floats(1.0, 200.0), min_size=n, max_size=n)))
+        ok = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        dead = set(data.draw(st.lists(st.integers(0, n_chunks - 1), max_size=n_chunks)))
+
+        def runner(chunk):
+            c = int(chunk.indices[0]) // chunk_size
+            if c in dead:  # an all-failed chunk, as a failed external command returns it
+                status = np.array(["failed"] * chunk.n, dtype=object)
+                return ResultTable(index=chunk.indices, status=status, columns={})
+            rows_ok = ok[chunk.indices]
+            status = np.where(rows_ok, "ok", "failed").astype(object)
+            m = np.where(rows_ok, values[chunk.indices], np.nan)
+            return ResultTable(index=chunk.indices, status=status, columns={"m": m})
+
+        live = ok & ~np.isin(np.arange(n) // chunk_size, list(dead))
+        expected = None
+        for c in range(2, n_chunks + 1):
+            now = values[: c * chunk_size][live[: c * chunk_size]]
+            prev = values[: (c - 1) * chunk_size][live[: (c - 1) * chunk_size]]
+            if now.size == 0 or prev.size == 0:
+                continue
+            m_now, m_prev = float(np.mean(now)), float(np.mean(prev))
+            rel = abs(m_now - m_prev) / max(abs(m_prev), 1e-9)
+            # running sums and np.mean may differ in the last bit
+            assume(abs(rel - epsilon) > 1e-9 * epsilon)
+            if rel < epsilon:
+                expected = c
+                break
+
+        design = lhs_design(FACTORS, n, seed=0)
+        crit = mean_convergence_criterion("m", epsilon=epsilon)
+        _, report = run_batches(design, runner, crit, chunk_size)
+        assert report.stop_chunk == expected
 
 
 class TestSubprocessRunner:
@@ -223,6 +288,34 @@ class TestSubprocessRunner:
         results, report = run_batches(design, SubprocessRunner(doubler_cmd), None, 10)
         assert report.rows_executed == 25
         assert np.allclose(results.column("doubled"), design.column("x") * 2)
+
+    @pytest.mark.parametrize("failing_chunk", [0, 1])
+    def test_failed_chunk_costs_only_its_rows(self, tmp_path, doubler_cmd, failing_chunk):
+        script = tmp_path / "fail_one.py"
+        script.write_text(
+            textwrap.dedent(
+                f"""
+                import csv, subprocess, sys
+
+                with open(sys.argv[-2]) as fh:
+                    rows = list(csv.reader(fh))
+                if int(rows[1][0]) == {failing_chunk * 5}:
+                    sys.exit(3)
+                sys.exit(subprocess.call({doubler_cmd!r} + sys.argv[-2:]))
+                """
+            )
+        )
+        design = lhs_design(FACTORS, 15, seed=4)
+        results, report = run_batches(
+            design, SubprocessRunner([sys.executable, str(script)]), None, 5
+        )
+        assert report.rows_executed == 15
+        failed = np.arange(failing_chunk * 5, failing_chunk * 5 + 5)
+        assert np.array_equal(np.nonzero(~results.ok_mask())[0], failed)
+        doubled = results.column("doubled")
+        assert np.isnan(doubled[failed]).all()
+        ok = results.ok_mask()
+        assert np.allclose(doubled[ok], design.column("x")[ok] * 2)
 
     def test_nonzero_exit_marks_chunk_failed(self, tmp_path):
         script = tmp_path / "crash.py"
