@@ -8,7 +8,6 @@ calibrated flight-fuel simulator (``navsim``) as a reference batch runner.
 """
 
 from . import analysis, doe, execution, geo, models, simkit
-from ._accel import USING_NUMBA
 from .doe import Design, FactorSpec, lhs_design, validate_design
 from .execution import mean_convergence_criterion, run_batches
 from .tables import DataColumn, ResultTable
@@ -22,7 +21,6 @@ __all__ = [
     "geo",
     "models",
     "simkit",
-    "USING_NUMBA",
     "Design",
     "FactorSpec",
     "lhs_design",

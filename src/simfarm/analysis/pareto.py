@@ -1,9 +1,10 @@
-"""Pareto-front extraction by pairwise dominance counting.
+"""Pareto-front extraction.
 
 A point is on the front iff no other point is at least as good in every
 objective and strictly better in one (after normalizing maximize objectives
-by negation).  Duplicate copies of a front point all stay on the front.  The
-dominance scan is the n^2 hot loop and is numba-compiled.
+by negation).  Duplicate copies of a front point all stay on the front.  Two
+objectives use a sort-and-sweep in O(n log n) (Kung, Luccio & Preparata
+1975); three or more compare every pair, a bounded block of rows at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._accel import maybe_njit
 from ..errors import InvalidArgumentError
 
 __all__ = ["ParetoResult", "pareto_front"]
@@ -38,26 +38,33 @@ class ParetoResult:
         }
 
 
-@maybe_njit(cache=True)
-def _non_dominated_mask(pts: np.ndarray) -> np.ndarray:
-    # pts normalized so every objective is minimized
+_BLOCK_CELLS = 1 << 21  # comparisons held at once by the pairwise scan
+
+
+def _front_mask_2d(pts: np.ndarray) -> np.ndarray:
+    # sort by (f1, f2): a point survives iff its f2 is the least in its f1
+    # group and strictly below every f2 seen at a strictly smaller f1
+    f1, f2 = pts[:, 0], pts[:, 1]
+    order = np.lexsort((f2, f1))
+    a, b = f1[order], f2[order]
+    starts = np.r_[True, a[1:] != a[:-1]]
+    group = np.cumsum(starts) - 1
+    group_min = b[starts]
+    before = np.r_[np.inf, np.minimum.accumulate(group_min)[:-1]]
+    mask = np.empty(len(pts), dtype=bool)
+    mask[order] = (b == group_min[group]) & (b < before[group])
+    return mask
+
+
+def _front_mask_pairwise(pts: np.ndarray) -> np.ndarray:
     n, m = pts.shape
-    mask = np.ones(n, dtype=np.bool_)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            dominates = True
-            strict = False
-            for c in range(m):
-                if pts[j, c] > pts[i, c]:
-                    dominates = False
-                    break
-                if pts[j, c] < pts[i, c]:
-                    strict = True
-            if dominates and strict:
-                mask[i] = False
-                break
+    step = max(1, _BLOCK_CELLS // (n * m))
+    mask = np.empty(n, dtype=bool)
+    for lo in range(0, n, step):
+        block = pts[lo:lo + step, None, :]
+        # dominated[i, j]: row j is no worse than block row i everywhere and better somewhere
+        dominated = (pts <= block).all(axis=2) & (pts < block).any(axis=2)
+        mask[lo:lo + step] = ~dominated.any(axis=1)
     return mask
 
 
@@ -80,5 +87,6 @@ def pareto_front(points, directions) -> ParetoResult:
             raise InvalidArgumentError(f"unknown direction {d!r}; use minimize/maximize")
         normalized.append(_DIRECTION_ALIASES[d])
     signs = np.array([1.0 if d == "minimize" else -1.0 for d in normalized])
-    mask = _non_dominated_mask(np.ascontiguousarray(pts * signs))
+    pts = pts * signs  # every objective minimized
+    mask = _front_mask_2d(pts) if m == 2 else _front_mask_pairwise(pts)
     return ParetoResult(front=np.nonzero(mask)[0], directions=tuple(normalized))

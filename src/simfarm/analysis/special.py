@@ -8,8 +8,8 @@ Recipes continued fraction, and the normal quantile by Wichura's PPND16
 over their tested domain (verified against 50-digit series evaluation in the
 test suite).
 
-These are the hottest scalar loops in the statistics stack and are compiled
-with numba unless ``SIMFARM_NO_NUMBA=1`` is set.
+These are the hottest scalar loops in the statistics stack.  They run as
+plain Python, one call per value.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .._accel import maybe_njit
 
 __all__ = [
     "gammainc_p",
@@ -35,7 +33,6 @@ _EPS = 1e-16
 _TINY = 1e-300
 
 
-@maybe_njit(cache=True)
 def _gamma_series(a: float, x: float) -> float:
     # sum_{k>=0} x^k / (a (a+1) ... (a+k)), scaled below
     ap = a
@@ -50,7 +47,6 @@ def _gamma_series(a: float, x: float) -> float:
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-@maybe_njit(cache=True)
 def _gamma_contfrac(a: float, x: float) -> float:
     # modified Lentz evaluation of the Q(a, x) continued fraction
     b = x + 1.0 - a
@@ -74,7 +70,6 @@ def _gamma_contfrac(a: float, x: float) -> float:
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
 
-@maybe_njit(cache=True)
 def gammainc_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
     if a <= 0.0 or x < 0.0:
@@ -86,7 +81,6 @@ def gammainc_p(a: float, x: float) -> float:
     return 1.0 - _gamma_contfrac(a, x)
 
 
-@maybe_njit(cache=True)
 def gammainc_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     if a <= 0.0 or x < 0.0:
@@ -98,7 +92,6 @@ def gammainc_q(a: float, x: float) -> float:
     return _gamma_contfrac(a, x)
 
 
-@maybe_njit(cache=True)
 def _beta_contfrac(a: float, b: float, x: float) -> float:
     qab = a + b
     qap = a + 1.0
@@ -135,7 +128,6 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     return h
 
 
-@maybe_njit(cache=True)
 def betainc(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b), a, b > 0, 0 <= x <= 1."""
     if a <= 0.0 or b <= 0.0 or x < 0.0 or x > 1.0:
@@ -157,17 +149,14 @@ def betainc(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
 
 
-@maybe_njit(cache=True)
 def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-@maybe_njit(cache=True)
 def norm_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-@maybe_njit(cache=True)
 def norm_ppf(p: float) -> float:
     """Normal quantile by Wichura's PPND16 (AS 241), |error| < 1e-15."""
     if p <= 0.0:
@@ -212,7 +201,6 @@ def norm_ppf(p: float) -> float:
     return -val if q < 0.0 else val
 
 
-@maybe_njit(cache=True)
 def norm_ppf_vec(p: np.ndarray) -> np.ndarray:
     out = np.empty(p.shape[0], dtype=np.float64)
     for i in range(p.shape[0]):

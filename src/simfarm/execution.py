@@ -183,9 +183,11 @@ def mean_convergence_criterion(metric: str, epsilon: float, floor: float = 1e-9)
 
     Stops iff ``|m_now - m_prev| / max(|m_prev|, floor) < epsilon``, where
     ``m_prev`` and ``m_now`` are the means over all ok rows before and after
-    the chunk.  Returns false on the first chunk and whenever either side has
-    no ok rows yet.  Failed rows never contribute to the means, and a chunk
-    without ok rows need not carry the metric column.
+    the chunk.  Returns false on the first chunk, whenever either side has no
+    ok rows yet, and after a chunk without ok rows: an all-failed chunk leaves
+    the mean where it was, which is no evidence that it has settled.  Failed
+    rows never contribute to the means, and a chunk without ok rows need not
+    carry the metric column.
     """
     if epsilon <= 0:
         raise InvalidArgumentError(f"epsilon must be > 0, got {epsilon}")
@@ -196,17 +198,18 @@ def mean_convergence_criterion(metric: str, epsilon: float, floor: float = 1e-9)
 
     def criterion(chunk: ResultTable) -> bool:
         nonlocal total, count
-        prev_total, prev_count = total, count
         ok = chunk.ok_mask()
-        if ok.any():
-            if metric not in chunk.columns:
-                raise ConfigurationError(
-                    f"convergence metric column {metric!r} not present in results"
-                )
-            values = chunk.column(metric)[ok]
-            total += float(np.sum(values))
-            count += values.size
-        if prev_count == 0 or count == 0:
+        if not ok.any():
+            return False
+        if metric not in chunk.columns:
+            raise ConfigurationError(
+                f"convergence metric column {metric!r} not present in results"
+            )
+        prev_total, prev_count = total, count
+        values = chunk.column(metric)[ok]
+        total += float(np.sum(values))
+        count += values.size
+        if prev_count == 0:
             return False
         m_now = total / count
         m_prev = prev_total / prev_count

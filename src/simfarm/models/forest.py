@@ -73,11 +73,11 @@ class RandomForest:
         votes = np.stack([tree.predict(X) for tree in self.trees])
         if self.task == "regression":
             return votes.mean(axis=0)
-        out = np.empty(votes.shape[1], dtype=self.classes_.dtype)
-        for i in range(votes.shape[1]):
-            labels, counts = np.unique(votes[:, i], return_counts=True)
-            out[i] = labels[np.argmax(counts)]  # ties to the smallest label
-        return out
+        k = len(self.classes_)
+        n = votes.shape[1]
+        cells = np.arange(n) * k + np.searchsorted(self.classes_, votes)
+        counts = np.bincount(cells.ravel(), minlength=n * k).reshape(n, k)
+        return self.classes_[np.argmax(counts, axis=1)]  # ties to the smallest label
 
     def to_state(self) -> dict:
         return {

@@ -3,94 +3,23 @@
 Regression splits minimize summed squared error, classification splits
 minimize weighted Gini impurity; thresholds sit midway between consecutive
 distinct feature values, both children must hold ``min_leaf`` rows, and ties
-break toward the lower feature index and threshold.  The per-feature split
-scans are the hot loops and are numba-compiled.
+break toward the lower feature index and threshold.
+
+Each feature is sorted once per tree.  A node holds its rows in every
+feature's sorted order, and a child keeps its parent's order, which is the
+stable sort of the child's own rows.  The split search scores every cut of
+every candidate feature at once from prefix sums (``cumsum`` adds in row
+order, so the scores are those of a sequential scan), and prediction walks
+all rows down the tree one level at a time.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .._accel import maybe_njit
 from ..errors import TrainingError
 
 __all__ = ["CartTree"]
-
-_NO_SPLIT = -1.0
-
-
-@maybe_njit(cache=True)
-def _scan_splits_sse(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
-    """Best threshold for sorted feature values xs (ys aligned).
-
-    Returns (score, threshold, found) with score = SSE_left + SSE_right.
-    """
-    n = xs.shape[0]
-    total = 0.0
-    total_sq = 0.0
-    for i in range(n):
-        total += ys[i]
-        total_sq += ys[i] * ys[i]
-    best_score = math.inf
-    best_thr = 0.0
-    found = False
-    left = 0.0
-    left_sq = 0.0
-    for i in range(n - 1):
-        left += ys[i]
-        left_sq += ys[i] * ys[i]
-        if xs[i + 1] == xs[i]:
-            continue
-        nl = i + 1
-        nr = n - nl
-        if nl < min_leaf or nr < min_leaf:
-            continue
-        right = total - left
-        right_sq = total_sq - left_sq
-        sse = (left_sq - left * left / nl) + (right_sq - right * right / nr)
-        if sse < 0.0:
-            sse = 0.0
-        if sse < best_score:
-            best_score = sse
-            best_thr = 0.5 * (xs[i] + xs[i + 1])
-            found = True
-    return best_score, best_thr, found
-
-
-@maybe_njit(cache=True)
-def _scan_splits_gini(xs: np.ndarray, codes: np.ndarray, n_classes: int, min_leaf: int):
-    """Best threshold minimizing n_l*gini_l + n_r*gini_r over sorted xs."""
-    n = xs.shape[0]
-    total_counts = np.zeros(n_classes, dtype=np.int64)
-    for i in range(n):
-        total_counts[codes[i]] += 1
-    left_counts = np.zeros(n_classes, dtype=np.int64)
-    best_score = math.inf
-    best_thr = 0.0
-    found = False
-    for i in range(n - 1):
-        left_counts[codes[i]] += 1
-        if xs[i + 1] == xs[i]:
-            continue
-        nl = i + 1
-        nr = n - nl
-        if nl < min_leaf or nr < min_leaf:
-            continue
-        sl = 0.0
-        sr = 0.0
-        for c in range(n_classes):
-            lc = left_counts[c]
-            rc = total_counts[c] - lc
-            sl += lc * lc
-            sr += rc * rc
-        score = nl * (1.0 - sl / (nl * nl)) + nr * (1.0 - sr / (nr * nr))
-        if score < best_score:
-            best_score = score
-            best_thr = 0.5 * (xs[i] + xs[i + 1])
-            found = True
-    return best_score, best_thr, found
 
 
 class CartTree:
@@ -121,7 +50,7 @@ class CartTree:
         return float(np.argmax(counts))  # ties to the smallest class code
 
     def _is_pure(self, y: np.ndarray) -> bool:
-        return bool(np.all(y == y[0]))
+        return bool((y == y[0]).all())
 
     def _new_node(self) -> int:
         self.feature.append(-1)
@@ -131,29 +60,51 @@ class CartTree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _best_split(self, X: np.ndarray, y: np.ndarray, feature_ids) -> tuple[int, float] | None:
-        best = None
-        for f in feature_ids:
-            order = np.argsort(X[:, f], kind="stable")
-            xs = np.ascontiguousarray(X[order, f])
-            if self.task == "regression":
-                ys = np.ascontiguousarray(y[order].astype(np.float64))
-                score, thr, found = _scan_splits_sse(xs, ys, self.min_leaf)
-            else:
-                codes = np.ascontiguousarray(y[order].astype(np.int64))
-                score, thr, found = _scan_splits_gini(
-                    xs, codes, len(self.classes_), self.min_leaf
-                )
-            if found and (best is None or score < best[0]):
-                best = (score, int(f), float(thr))
-        if best is None:
-            return None
-        return best[1], best[2]
+    def _best_split(self, X, y, sorted_rows, feature_ids) -> tuple[int, float] | None:
+        """Best ``(feature, threshold)`` over ``feature_ids``, or None if no cut is legal.
 
-    def _build(self, X, y, depth: int, rng, feature_fraction: float) -> int:
+        Cut ``i`` puts the first ``i + 1`` rows of a feature's sorted order on
+        the left; only cuts leaving ``min_leaf`` rows on each side and falling
+        between distinct values are scored.
+        """
+        rows = sorted_rows[feature_ids]  # (m, n) row ids in each feature's order
+        xs = X[rows, feature_ids[:, None]]
+        n = rows.shape[1]
+        lo, hi = self.min_leaf - 1, n - self.min_leaf  # legal cuts are lo .. hi - 1
+        nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        nr = n - nl
+        if self.task == "regression":
+            ys = y[rows]
+            left = ys.cumsum(axis=1)
+            left_sq = (ys * ys).cumsum(axis=1)
+            right = left[:, -1:] - left[:, lo:hi]
+            right_sq = left_sq[:, -1:] - left_sq[:, lo:hi]
+            left, left_sq = left[:, lo:hi], left_sq[:, lo:hi]
+            score = (left_sq - left * left / nl) + (right_sq - right * right / nr)
+            np.maximum(score, 0.0, out=score)  # rounding can leave an SSE just below 0
+        else:
+            counts = (y[rows][:, :, None] == np.arange(len(self.classes_))).cumsum(axis=1)
+            left = counts[:, lo:hi]
+            right = counts[:, -1:] - left
+            # sums of squared counts are exact integers, so their order is free
+            sl = (left * left).sum(axis=2)
+            sr = (right * right).sum(axis=2)
+            score = nl * (1.0 - sl / (nl * nl)) + nr * (1.0 - sr / (nr * nr))
+        legal = xs[:, lo + 1:hi + 1] != xs[:, lo:hi]
+        score = np.where(legal & (score < np.inf), score, np.inf)
+        # row-major argmin: lowest feature first, then lowest threshold
+        r, j = divmod(int(score.argmin()), score.shape[1])
+        if not score[r, j] < np.inf:
+            return None
+        i = lo + j
+        return int(feature_ids[r]), float(0.5 * (xs[r, i] + xs[r, i + 1]))
+
+    def _build(self, X, y, idx, sorted_rows, depth: int, rng, feature_fraction: float) -> int:
+        """Grow the subtree on rows ``idx`` (ascending); ``sorted_rows`` is (p, len(idx))."""
         node = self._new_node()
-        self.value[node] = self._leaf_value(y)
-        if depth >= self.max_depth or len(y) < 2 * self.min_leaf or self._is_pure(y):
+        y_node = y[idx]
+        self.value[node] = self._leaf_value(y_node)
+        if depth >= self.max_depth or len(idx) < 2 * self.min_leaf or self._is_pure(y_node):
             return node
         p = X.shape[1]
         if feature_fraction < 1.0:
@@ -161,15 +112,24 @@ class CartTree:
             feature_ids = np.sort(rng.choice(p, size=m, replace=False))
         else:
             feature_ids = np.arange(p)
-        split = self._best_split(X, y, feature_ids)
+        split = self._best_split(X, y, sorted_rows, feature_ids)
         if split is None:
             return node
         f, thr = split
-        mask = X[:, f] <= thr
+        goes_left = np.zeros(len(X), dtype=bool)
+        goes_left[idx] = X[idx, f] <= thr
+        on_left = goes_left[idx]
+        sorted_left = goes_left[sorted_rows]
         self.feature[node] = f
         self.threshold[node] = thr
-        self.left[node] = self._build(X[mask], y[mask], depth + 1, rng, feature_fraction)
-        self.right[node] = self._build(X[~mask], y[~mask], depth + 1, rng, feature_fraction)
+        self.left[node] = self._build(
+            X, y, idx[on_left], sorted_rows[sorted_left].reshape(p, -1),
+            depth + 1, rng, feature_fraction,
+        )
+        self.right[node] = self._build(
+            X, y, idx[~on_left], sorted_rows[~sorted_left].reshape(p, -1),
+            depth + 1, rng, feature_fraction,
+        )
         return node
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng=None, feature_fraction: float = 1.0) -> "CartTree":
@@ -183,11 +143,11 @@ class CartTree:
             self.classes_ = np.unique(y)
             if len(self.classes_) < 2:
                 raise TrainingError("classification needs at least 2 classes")
-            codes = np.searchsorted(self.classes_, y)
-            self._build(X, codes.astype(np.int64), 0, rng, feature_fraction)
+            y = np.searchsorted(self.classes_, y).astype(np.int64)
         else:
             y = np.asarray(y, dtype=np.float64)
-            self._build(X, y, 0, rng, feature_fraction)
+        sorted_rows = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+        self._build(X, y, np.arange(len(X)), sorted_rows, 0, rng, feature_fraction)
         return self
 
     # -- prediction --------------------------------------------------------
@@ -196,12 +156,18 @@ class CartTree:
         if not self.feature:
             raise TrainingError("model is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(len(X), dtype=np.float64)
-        for i, row in enumerate(X):
-            node = 0
-            while self.feature[node] >= 0:
-                node = self.left[node] if row[self.feature[node]] <= self.threshold[node] else self.right[node]
-            out[i] = self.value[node]
+        leaf = np.asarray(self.feature) < 0
+        own = np.arange(len(leaf))
+        # a leaf tests feature 0 and leads back to itself, so finished rows stay put
+        feature = np.where(leaf, 0, self.feature)
+        threshold = np.asarray(self.threshold, dtype=np.float64)
+        left = np.where(leaf, own, self.left)
+        right = np.where(leaf, own, self.right)
+        rows = np.arange(len(X))
+        node = np.zeros(len(X), dtype=np.int64)
+        while not leaf[node].all():  # one tree level per pass
+            node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
+        out = np.asarray(self.value, dtype=np.float64)[node]
         if self.task == "classification":
             return self.classes_[out.astype(np.int64)]
         return out

@@ -203,6 +203,15 @@ class TestMeanConvergence:
         assert crit(failed) is False  # no ok rows on either side yet
         assert crit(ok_table([10.0] * 3, start=3)) is False  # first chunk with ok rows
 
+    def test_chunk_without_ok_rows_is_not_convergence(self):
+        crit = mean_convergence_criterion("m", epsilon=0.01)
+        assert crit(ok_table([10.0] * 3)) is False
+        failed = ResultTable(
+            index=np.arange(3, 6), status=np.array(["failed"] * 3, dtype=object), columns={}
+        )
+        assert crit(failed) is False  # the mean did not move, but nothing new was seen
+        assert crit(ok_table([10.0] * 3, start=6)) is True  # the ok rows before it still count
+
     def test_missing_metric_is_configuration_error(self):
         crit = mean_convergence_criterion("absent", epsilon=0.01)
         design = lhs_design(FACTORS, 20, seed=0)
@@ -244,7 +253,7 @@ class TestMeanConvergence:
         for c in range(2, n_chunks + 1):
             now = values[: c * chunk_size][live[: c * chunk_size]]
             prev = values[: (c - 1) * chunk_size][live[: (c - 1) * chunk_size]]
-            if now.size == 0 or prev.size == 0:
+            if now.size == prev.size or prev.size == 0:  # chunk c or all before it had no ok rows
                 continue
             m_now, m_prev = float(np.mean(now)), float(np.mean(prev))
             rel = abs(m_now - m_prev) / max(abs(m_prev), 1e-9)
@@ -316,6 +325,31 @@ class TestSubprocessRunner:
         assert np.isnan(doubled[failed]).all()
         ok = results.ok_mask()
         assert np.allclose(doubled[ok], design.column("x")[ok] * 2)
+
+    def test_failed_chunk_does_not_meet_criterion(self, tmp_path, doubler_cmd):
+        script = tmp_path / "fail_second.py"
+        script.write_text(
+            textwrap.dedent(
+                f"""
+                import csv, subprocess, sys
+
+                with open(sys.argv[-2]) as fh:
+                    rows = list(csv.reader(fh))
+                if int(rows[1][0]) == 5:
+                    sys.exit(3)
+                sys.exit(subprocess.call({doubler_cmd!r} + sys.argv[-2:]))
+                """
+            )
+        )
+        design = lhs_design(FACTORS, 15, seed=4)
+        crit = mean_convergence_criterion("doubled", epsilon=1e-9)
+        results, report = run_batches(
+            design, SubprocessRunner([sys.executable, str(script)]), crit, 5
+        )
+        assert report.chunks_executed == 3
+        assert report.stop_reason == "design_exhausted"
+        assert report.stop_chunk is None
+        assert np.array_equal(np.nonzero(~results.ok_mask())[0], np.arange(5, 10))
 
     def test_nonzero_exit_marks_chunk_failed(self, tmp_path):
         script = tmp_path / "crash.py"

@@ -45,6 +45,18 @@ class TestParetoFront:
         result = pareto_front(pts, ["min"] * m)
         assert set(result.front) == brute_force_front(pts)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n, levels", [(1, 3), (7, 2), (60, 4), (500, 6), (2000, 12)])
+    def test_integer_grid_with_duplicates_matches_bruteforce(self, m, n, levels):
+        # few levels per objective: many tied coordinates and repeated points
+        pts = substream(n, m).integers(0, levels, size=(n, m)).astype(np.float64)
+        assert len(np.unique(pts, axis=0)) < n or n == 1
+        directions = ["min", "max"] * (m // 2) + ["min"] * (m % 2)
+        signs = np.array([1.0 if d == "min" else -1.0 for d in directions])
+        result = pareto_front(pts, directions)
+        assert set(result.front) == brute_force_front(pts * signs)
+        assert np.array_equal(result.front, np.sort(result.front))
+
     def test_idempotence(self):
         pts = substream(9, 0).random((300, 3))
         first = pareto_front(pts, ["min", "min", "min"]).front
