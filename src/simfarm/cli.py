@@ -354,7 +354,7 @@ def _cmd_model_smote(args) -> int:
     cols[args.target] = result.labels
     out = ResultTable(
         index=np.arange(len(result.features), dtype=np.int64),
-        status=np.array(["ok"] * len(result.features), dtype=object),
+        status=np.ones(len(result.features), dtype=bool),
         columns=cols,
     )
     out.to_csv(args.out)

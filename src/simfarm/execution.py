@@ -3,8 +3,8 @@
 ``run_batches`` splits a design into row-order chunks, hands each chunk to a
 runner, and passes each chunk's result to a stop criterion, which keeps
 whatever running state it needs.  Runners must return exactly one result row
-per input row, aligned by design-row index; failed executions are rows with
-status ``failed``, never dropped.  Rows inside a chunk may be computed in
+per input row, aligned by design-row index; failed executions are rows whose
+status is false, never dropped.  Rows inside a chunk may be computed in
 parallel by the runner, but chunk boundaries are strict synchronization
 points.  The chunk results are concatenated once, after the last chunk, so a
 run costs time linear in the rows executed.
@@ -28,8 +28,9 @@ from .errors import (
     ContractViolationError,
     CriterionError,
     InvalidArgumentError,
+    ParseError,
 )
-from .tables import RESERVED_INDEX, STATUS_FAILED, ResultTable
+from .tables import RESERVED_INDEX, ResultTable
 
 __all__ = [
     "DesignChunk",
@@ -187,7 +188,8 @@ def mean_convergence_criterion(metric: str, epsilon: float, floor: float = 1e-9)
     ok rows yet, and after a chunk without ok rows: an all-failed chunk leaves
     the mean where it was, which is no evidence that it has settled.  Failed
     rows never contribute to the means, and a chunk without ok rows need not
-    carry the metric column.
+    carry the metric column.  A NaN or infinite metric on an ok row raises
+    :class:`CriterionError`: the means could never settle again.
     """
     if epsilon <= 0:
         raise InvalidArgumentError(f"epsilon must be > 0, got {epsilon}")
@@ -207,6 +209,8 @@ def mean_convergence_criterion(metric: str, epsilon: float, floor: float = 1e-9)
             )
         prev_total, prev_count = total, count
         values = chunk.column(metric)[ok]
+        if not np.isfinite(values).all():
+            raise CriterionError(f"metric {metric!r} is not finite on an ok row")
         total += float(np.sum(values))
         count += values.size
         if prev_count == 0:
@@ -223,8 +227,8 @@ class SubprocessRunner:
 
     The chunk is written as a Design CSV prefixed with the reserved
     ``_index`` column; the command must write a ResultTable CSV (``_index``,
-    ``_status``, output columns) to the second path.  A nonzero exit marks
-    every chunk row as failed.
+    ``_status``, output columns) to the second path.  A nonzero exit, a
+    timeout or a missing or unparsable output file fails the whole chunk.
     """
 
     def __init__(self, command: Sequence[str], timeout: float | None = None):
@@ -245,18 +249,17 @@ class SubprocessRunner:
             in_path = Path(tmp) / "in.csv"
             out_path = Path(tmp) / "out.csv"
             self._write_chunk(chunk, in_path)
-            proc = subprocess.run(
-                [*self.command, str(in_path), str(out_path)],
-                capture_output=True,
-                timeout=self.timeout,
-            )
-            if proc.returncode != 0 or not out_path.exists():
-                return ResultTable(
-                    index=chunk.indices,
-                    status=np.array([STATUS_FAILED] * chunk.n, dtype=object),
-                    columns={},
+            try:
+                proc = subprocess.run(
+                    [*self.command, str(in_path), str(out_path)],
+                    capture_output=True,
+                    timeout=self.timeout,
                 )
-            return ResultTable.from_csv(out_path)
+                if proc.returncode == 0 and out_path.exists():
+                    return ResultTable.from_csv(out_path)
+            except (subprocess.TimeoutExpired, ParseError):
+                pass
+        return ResultTable(index=chunk.indices, status=np.zeros(chunk.n, dtype=bool))
 
 
 # -- built-in runner registry -------------------------------------------------

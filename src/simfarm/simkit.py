@@ -27,7 +27,7 @@ from .doe import Continuous, FactorSpec
 from .errors import CalibrationError, ContractViolationError, DomainError
 from .execution import DesignChunk, register_runner
 from .rng import first_standard_normals
-from .tables import STATUS_OK, ResultTable
+from .tables import ResultTable
 
 __all__ = [
     "SPEED_RANGE_KT",
@@ -157,7 +157,7 @@ def simulate_navigation(chunk: DesignChunk, params: FuelModelParams, seed: int =
         fuel = fuel * np.exp(params.noise_sigma * first_standard_normals(seed, chunk.indices))
     return ResultTable(
         index=chunk.indices,
-        status=np.array([STATUS_OK] * chunk.n, dtype=object),
+        status=np.ones(chunk.n, dtype=bool),
         columns={"time_of_flight": tof, "fuel_consumed": fuel},
     )
 

@@ -1,9 +1,10 @@
 """Row-aligned result tables and typed analysis columns.
 
 A :class:`ResultTable` is the universal carrier of simulation output: named
-columns plus the reserved ``_index`` (design-row index) and ``_status``
-(``ok``/``failed``) columns.  CSV serialization uses UTF-8, RFC-4180 quoting,
-``\n`` line endings, a dot decimal separator, and ``.17g`` float formatting so
+columns plus design-row indices and a bool status per row (true = ok), which
+CSV spells as the reserved ``_index`` and ``_status`` (``ok``/``failed``)
+columns.  CSV serialization uses UTF-8, RFC-4180 quoting, ``\n`` line
+endings, a dot decimal separator, and ``.17g`` float formatting so
 write-then-read round-trips values bit-exactly.
 """
 
@@ -19,8 +20,6 @@ import numpy as np
 from .errors import InvalidArgumentError, ParseError
 
 __all__ = [
-    "STATUS_OK",
-    "STATUS_FAILED",
     "ResultTable",
     "DataColumn",
     "columns_from_table",
@@ -60,7 +59,7 @@ def _as_column_array(values) -> np.ndarray:
 
 @dataclass
 class ResultTable:
-    """Named columns aligned to design-row indices with per-row status."""
+    """Named columns aligned to design-row indices; ``status`` is bool, true = ok."""
 
     index: np.ndarray
     status: np.ndarray
@@ -68,15 +67,14 @@ class ResultTable:
 
     def __post_init__(self):
         self.index = np.asarray(self.index, dtype=np.int64)
-        self.status = np.asarray(self.status, dtype=object)
+        self.status = np.asarray(self.status)
+        if self.status.dtype != np.bool_:
+            raise InvalidArgumentError(f"status must be a bool array, got {self.status.dtype}")
         n = len(self.index)
         if len(self.status) != n:
             raise InvalidArgumentError("status length does not match index length")
         if len(np.unique(self.index)) != n:
             raise InvalidArgumentError("index values must be unique")
-        bad = [s for s in self.status if s not in (STATUS_OK, STATUS_FAILED)]
-        if bad:
-            raise InvalidArgumentError(f"unknown status value {bad[0]!r}")
         cleaned = {}
         for name, values in self.columns.items():
             if name in (RESERVED_INDEX, RESERVED_STATUS):
@@ -101,7 +99,7 @@ class ResultTable:
         return self.columns[name]
 
     def ok_mask(self) -> np.ndarray:
-        return np.array([s == STATUS_OK for s in self.status], dtype=bool)
+        return self.status
 
     def take(self, positions) -> "ResultTable":
         positions = np.asarray(positions, dtype=np.int64)
@@ -115,7 +113,7 @@ class ResultTable:
     def empty(cls, column_names: Sequence[str] = ()) -> "ResultTable":
         return cls(
             index=np.empty(0, dtype=np.int64),
-            status=np.empty(0, dtype=object),
+            status=np.empty(0, dtype=bool),
             columns={name: np.empty(0, dtype=np.float64) for name in column_names},
         )
 
@@ -147,7 +145,8 @@ class ResultTable:
         writer.writerow([RESERVED_INDEX, RESERVED_STATUS, *self.columns])
         for lo in range(0, self.n_rows, CSV_BLOCK_ROWS):
             block = slice(lo, lo + CSV_BLOCK_ROWS)
-            cols = [self.index[block].tolist(), self.status[block].tolist()]
+            status = np.where(self.status[block], STATUS_OK, STATUS_FAILED)
+            cols = [self.index[block].tolist(), status.tolist()]
             for arr in self.columns.values():
                 if arr.dtype.kind == "f":
                     cols.append(format_floats(arr[block]))
@@ -169,59 +168,56 @@ class ResultTable:
             raise ParseError("missing header row", line=1) from None
         if not header or all(not h.strip() for h in header):
             raise ParseError("missing header row", line=1)
-        rows = []
+        dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if dup is not None:
+            raise ParseError(f"duplicate column name {dup!r}", line=1)
+        rows, lines = [], []
         for row in reader:
             if len(row) != len(header):
                 raise ParseError(
                     f"expected {len(header)} columns, found {len(row)}", line=reader.line_num
                 )
-            rows.append((reader.line_num, row))
-        has_index = RESERVED_INDEX in header
-        has_status = RESERVED_STATUS in header
-        idx_pos = header.index(RESERVED_INDEX) if has_index else None
-        st_pos = header.index(RESERVED_STATUS) if has_status else None
-        data_names = [h for h in header if h not in (RESERVED_INDEX, RESERVED_STATUS)]
-        data_pos = [header.index(h) for h in data_names]
-
+            rows.append(row)
+            lines.append(reader.line_num)
         n = len(rows)
-        index = np.arange(n, dtype=np.int64)
-        status = np.array([STATUS_OK] * n, dtype=object)
-        raw = {name: [None] * n for name in data_names}
-        for i, (line, row) in enumerate(rows):
-            if has_index:
-                try:
-                    index[i] = int(row[idx_pos])
-                except ValueError:
-                    raise ParseError(f"unparsable {RESERVED_INDEX} cell {row[idx_pos]!r}", line=line) from None
-            if has_status:
-                s = row[st_pos]
-                if s not in (STATUS_OK, STATUS_FAILED):
-                    raise ParseError(f"unknown status {s!r}", line=line)
-                status[i] = s
-            for name, pos in zip(data_names, data_pos):
-                raw[name][i] = row[pos]
+        cells = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
 
-        columns: dict[str, np.ndarray] = {}
-        for name in data_names:
-            cells = raw[name]
-            numeric = np.empty(n, dtype=np.float64)
-            is_numeric = True
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    numeric[i] = np.nan
-                    continue
-                try:
-                    numeric[i] = float(cell)
-                except ValueError:
-                    is_numeric = False
-                    break
-            if is_numeric:
-                columns[name] = numeric
-            else:
-                columns[name] = np.array(
-                    [None if c == "" else c for c in cells], dtype=object
-                )
+        # Report the first bad reserved cell in row order, _index before _status.
+        problems = []
+        index, status = np.arange(n, dtype=np.int64), np.ones(n, dtype=bool)
+        if RESERVED_INDEX in cells:
+            column = cells.pop(RESERVED_INDEX)
+            try:
+                index = np.array([int(c) for c in column], dtype=np.int64)
+            except ValueError:
+                for i, c in enumerate(column):
+                    try:
+                        int(c)
+                    except ValueError:
+                        problems.append((i, f"unparsable {RESERVED_INDEX} cell {c!r}"))
+                        break
+        if RESERVED_STATUS in cells:
+            column = cells.pop(RESERVED_STATUS)
+            spelled = np.array(column, dtype=object)
+            status = spelled == STATUS_OK
+            known = status | (spelled == STATUS_FAILED)
+            if not known.all():
+                i = int(np.argmin(known))
+                problems.append((i, f"unknown status {column[i]!r}"))
+        if problems:
+            i, message = min(problems, key=lambda p: p[0])
+            raise ParseError(message, line=lines[i])
+
+        columns = {name: _parse_column(column) for name, column in cells.items()}
         return cls(index=index, status=status, columns=columns)
+
+
+def _parse_column(cells: Sequence[str]) -> np.ndarray:
+    """Float64 (NaN for empty cells) if every cell parses, else object (None for empty)."""
+    try:
+        return np.array([float(c) if c else math.nan for c in cells], dtype=np.float64)
+    except ValueError:
+        return np.array([c if c else None for c in cells], dtype=object)
 
 
 @dataclass

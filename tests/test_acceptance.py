@@ -42,7 +42,7 @@ from simfarm.models.forest import RandomForest
 from simfarm.models.mlp import MlpModel
 from simfarm.models.tree import CartTree
 from simfarm.rng import substream
-from simfarm.tables import STATUS_OK, ResultTable
+from simfarm.tables import ResultTable
 
 
 def criterion(num: str, name: str, budget_s: float):
@@ -121,7 +121,7 @@ def _gaussian_metric_runner(seed: int):
         g = substream(seed, int(chunk.indices[0]))
         return ResultTable(
             index=chunk.indices,
-            status=np.array([STATUS_OK] * chunk.n, dtype=object),
+            status=np.ones(chunk.n, dtype=bool),
             columns={"metric": g.normal(100.0, 1.0, chunk.n)},
         )
 

@@ -36,7 +36,7 @@ def results_csv(tmp_path):
     n = 120
     table = ResultTable(
         index=np.arange(n),
-        status=np.array(["ok"] * n, dtype=object),
+        status=np.ones(n, dtype=bool),
         columns={
             "a": g.normal(0, 1, n),
             "b": g.normal(1, 1, n),
@@ -192,7 +192,7 @@ class TestModelCommands:
         x = g.uniform(-2, 2, n)
         table = ResultTable(
             index=np.arange(n),
-            status=np.array(["ok"] * n, dtype=object),
+            status=np.ones(n, dtype=bool),
             columns={"x": x, "y": 2.0 * x + 1.0 + g.normal(0, 0.1, n)},
         )
         path = tmp_path / "reg.csv"
@@ -240,7 +240,7 @@ class TestModelCommands:
         labels = np.where(x > 0, "hi", "lo").astype(object)
         table = ResultTable(
             index=np.arange(n),
-            status=np.array(["ok"] * n, dtype=object),
+            status=np.ones(n, dtype=bool),
             columns={"x": x, "cls": labels},
         )
         data = tmp_path / "cls.csv"
@@ -267,7 +267,7 @@ class TestModelCommands:
         labels = np.array(["rare"] * n_min + ["common"] * n_maj, dtype=object)
         table = ResultTable(
             index=np.arange(n_min + n_maj),
-            status=np.array(["ok"] * (n_min + n_maj), dtype=object),
+            status=np.ones(n_min + n_maj, dtype=bool),
             columns={"x1": x1, "x2": x2, "label": labels},
         )
         data = tmp_path / "imb.csv"

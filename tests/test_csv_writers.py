@@ -27,7 +27,7 @@ def reference_table_csv(table: ResultTable) -> str:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["_index", "_status", *table.columns])
     for pos in range(table.n_rows):
-        row = [str(int(table.index[pos])), str(table.status[pos])]
+        row = [str(int(table.index[pos])), "ok" if table.status[pos] else "failed"]
         for arr in table.columns.values():
             v = arr[pos]
             if arr.dtype.kind == "f":
@@ -78,7 +78,7 @@ def test_result_csv_matches_per_cell_writer(tmp_path):
     labels[::5] = None
     table = ResultTable(
         index=np.arange(N) * 3 + 10**12,
-        status=np.where(np.arange(N) % 4 == 0, "failed", "ok").astype(object),
+        status=np.arange(N) % 4 != 0,
         columns={"y": y, "label": labels, "flag": np.arange(N) % 2 == 0},
     )
     path = tmp_path / "t.csv"

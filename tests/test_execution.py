@@ -28,7 +28,7 @@ FACTORS = [FactorSpec("x", Continuous(0.0, 1.0))]
 def echo_runner(chunk: DesignChunk) -> ResultTable:
     return ResultTable(
         index=chunk.indices,
-        status=np.array(["ok"] * chunk.n, dtype=object),
+        status=np.ones(chunk.n, dtype=bool),
         columns={"x_out": chunk.column("x").astype(float)},
     )
 
@@ -129,9 +129,7 @@ class TestRunBatches:
 
     def test_failed_rows_do_not_abort(self):
         def partial(chunk):
-            status = np.array(
-                ["failed" if i % 2 else "ok" for i in range(chunk.n)], dtype=object
-            )
+            status = np.arange(chunk.n) % 2 == 0
             return ResultTable(
                 index=chunk.indices,
                 status=status,
@@ -164,7 +162,7 @@ def ok_table(values, start=0) -> ResultTable:
     n = len(values)
     return ResultTable(
         index=np.arange(start, start + n),
-        status=np.array(["ok"] * n, dtype=object),
+        status=np.ones(n, dtype=bool),
         columns={"m": np.asarray(values, dtype=float)},
     )
 
@@ -189,7 +187,7 @@ class TestMeanConvergence:
         crit = mean_convergence_criterion("m", epsilon=0.01)
         first = ResultTable(
             index=np.arange(4),
-            status=np.array(["ok", "ok", "failed", "failed"], dtype=object),
+            status=np.array([True, True, False, False]),
             columns={"m": np.array([10.0, 10.0, 999.0, 999.0])},
         )
         assert crit(first) is False
@@ -198,7 +196,7 @@ class TestMeanConvergence:
     def test_chunk_without_ok_rows_needs_no_metric_column(self):
         crit = mean_convergence_criterion("m", epsilon=0.01)
         failed = ResultTable(
-            index=np.arange(3), status=np.array(["failed"] * 3, dtype=object), columns={}
+            index=np.arange(3), status=np.zeros(3, dtype=bool), columns={}
         )
         assert crit(failed) is False  # no ok rows on either side yet
         assert crit(ok_table([10.0] * 3, start=3)) is False  # first chunk with ok rows
@@ -207,7 +205,7 @@ class TestMeanConvergence:
         crit = mean_convergence_criterion("m", epsilon=0.01)
         assert crit(ok_table([10.0] * 3)) is False
         failed = ResultTable(
-            index=np.arange(3, 6), status=np.array(["failed"] * 3, dtype=object), columns={}
+            index=np.arange(3, 6), status=np.zeros(3, dtype=bool), columns={}
         )
         assert crit(failed) is False  # the mean did not move, but nothing new was seen
         assert crit(ok_table([10.0] * 3, start=6)) is True  # the ok rows before it still count
@@ -217,6 +215,20 @@ class TestMeanConvergence:
         design = lhs_design(FACTORS, 20, seed=0)
         with pytest.raises(ConfigurationError, match="absent"):
             run_batches(design, echo_runner, crit, 10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_metric_on_ok_row_raises(self, bad):
+        def runner(chunk):
+            m = chunk.column("x").astype(float)
+            if chunk.indices[0] == 10:
+                m[3] = bad
+            status = np.ones(chunk.n, dtype=bool)
+            return ResultTable(index=chunk.indices, status=status, columns={"m": m})
+
+        design = lhs_design(FACTORS, 30, seed=0)
+        crit = mean_convergence_criterion("m", epsilon=1e-12)
+        with pytest.raises(CriterionError, match="after chunk 2: metric 'm' is not finite"):
+            run_batches(design, runner, crit, 10)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -241,12 +253,11 @@ class TestMeanConvergence:
         def runner(chunk):
             c = int(chunk.indices[0]) // chunk_size
             if c in dead:  # an all-failed chunk, as a failed external command returns it
-                status = np.array(["failed"] * chunk.n, dtype=object)
+                status = np.zeros(chunk.n, dtype=bool)
                 return ResultTable(index=chunk.indices, status=status, columns={})
             rows_ok = ok[chunk.indices]
-            status = np.where(rows_ok, "ok", "failed").astype(object)
             m = np.where(rows_ok, values[chunk.indices], np.nan)
-            return ResultTable(index=chunk.indices, status=status, columns={"m": m})
+            return ResultTable(index=chunk.indices, status=rows_ok, columns={"m": m})
 
         live = ok & ~np.isin(np.arange(n) // chunk_size, list(dead))
         expected = None
@@ -360,3 +371,48 @@ class TestSubprocessRunner:
         )
         assert report.rows_executed == 10
         assert not results.ok_mask().any()
+
+    @pytest.mark.parametrize("fault", ["timeout", "garbage"])
+    def test_misbehaving_chunk_costs_only_its_rows(self, tmp_path, fault):
+        # Chunk 2 overruns the timeout or writes an output that is no result CSV.
+        script = tmp_path / "flaky.py"
+        script.write_text(
+            textwrap.dedent(
+                f"""
+                import csv, sys, time
+
+                with open(sys.argv[1]) as fh:
+                    rows = list(csv.reader(fh))
+                with open(sys.argv[2], "w", newline="") as fh:
+                    if int(rows[1][0]) == 5:
+                        if {fault!r} == "timeout":
+                            time.sleep(60)
+                        fh.write("garbage,\\n1\\n")
+                        sys.exit(0)
+                    w = csv.writer(fh, lineterminator="\\n")
+                    w.writerow(["_index", "_status", "doubled"])
+                    for row in rows[1:]:
+                        w.writerow([row[0], "ok", float(row[1]) * 2])
+                """
+            )
+        )
+        design = lhs_design(FACTORS, 15, seed=4)
+        crit = mean_convergence_criterion("doubled", epsilon=1e-9)
+        runner = SubprocessRunner([sys.executable, str(script)], timeout=3.0)
+        results, report = run_batches(design, runner, crit, 5)
+        assert report.chunks_executed == 3
+        assert report.stop_reason == "design_exhausted"
+        assert np.array_equal(np.nonzero(~results.ok_mask())[0], np.arange(5, 10))
+        ok = results.ok_mask()
+        assert np.allclose(results.column("doubled")[ok], design.column("x")[ok] * 2)
+
+    def test_misaligned_output_still_aborts(self, tmp_path):
+        script = tmp_path / "shifted.py"
+        script.write_text(
+            "import sys\n"
+            "open(sys.argv[2], 'w').write('_index,_status\\n1000,ok\\n')\n"
+        )
+        design = lhs_design(FACTORS, 3, seed=4)
+        runner = SubprocessRunner([sys.executable, str(script)])
+        with pytest.raises(ContractViolationError):
+            run_batches(design, runner, None, 1)
