@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateSampleError, DomainError, InvalidArgumentError
+from ..errors import DegenerateSampleError, DomainError, InvalidArgumentError, NumericalError
 from ..tables import DataColumn
 from .distributions import kolmogorov_sf
 from .special import betainc, gammainc_p, norm_cdf
@@ -83,11 +83,11 @@ def _cdf_exponential(x: np.ndarray, rate: float) -> np.ndarray:
 
 
 def _cdf_chi2(x: np.ndarray, df: float) -> np.ndarray:
-    return np.array([gammainc_p(df / 2.0, v / 2.0) if v > 0 else 0.0 for v in x])
+    return np.where(x > 0, gammainc_p(df / 2.0, x / 2.0), 0.0)
 
 
 def _cdf_beta(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    return np.array([betainc(a, b, min(1.0, max(0.0, v))) for v in x])
+    return betainc(a, b, np.clip(x, 0.0, 1.0))
 
 
 def fit_distributions(
@@ -100,7 +100,9 @@ def fit_distributions(
     ``candidates=None`` fits every family applicable to the data; families
     explicitly requested but inapplicable raise a domain error (for beta:
     data must lie strictly inside (0, 1) unless ``rescale`` pads the sample
-    range into the open unit interval first).
+    range into the open unit interval first).  A family whose CDF kernel
+    raises NumericalError is listed under ``skipped`` with the error text,
+    or re-raised when it was requested explicitly.
     """
     if isinstance(sample, DataColumn):
         if sample.kind != "numeric":
@@ -146,11 +148,11 @@ def fit_distributions(
     for family in wanted:
         if family == "normal":
             sigma = math.sqrt(float(x.var(ddof=0)))  # MLE scale
-            d = ks_statistic(xs, _cdf_normal(xs, mean, sigma))
+            points, cdf, args = xs, _cdf_normal, (mean, sigma)
             params = {"mu": mean, "sigma": sigma}
         elif family == "uniform":
             lo, hi = float(xs[0]), float(xs[-1])
-            d = ks_statistic(xs, _cdf_uniform(xs, lo, hi))
+            points, cdf, args = xs, _cdf_uniform, (lo, hi)
             params = {"lo": lo, "hi": hi}
         elif family == "exponential":
             if mean <= 0:
@@ -160,7 +162,7 @@ def fit_distributions(
                 skipped.append((family, msg))
                 continue
             rate = 1.0 / mean
-            d = ks_statistic(xs, _cdf_exponential(xs, rate))
+            points, cdf, args = xs, _cdf_exponential, (rate,)
             params = {"rate": rate}
         elif family == "chi_squared":
             if mean <= 0:
@@ -170,7 +172,7 @@ def fit_distributions(
                 skipped.append((family, msg))
                 continue
             df = mean  # method of moments
-            d = ks_statistic(xs, _cdf_chi2(xs, df))
+            points, cdf, args = xs, _cdf_chi2, (df,)
             params = {"df": df}
         else:  # beta
             if not in_unit and not rescaled:
@@ -186,8 +188,15 @@ def fit_distributions(
                     raise DomainError(msg)
                 skipped.append((family, msg))
                 continue
-            d = ks_statistic(xb, _cdf_beta(xb, a, b))
+            points, cdf, args = xb, _cdf_beta, (a, b)
             params = {"alpha": a, "beta": b}
+        try:
+            d = ks_statistic(points, cdf(points, *args))
+        except NumericalError as exc:
+            if explicit:
+                raise
+            skipped.append((family, str(exc)))
+            continue
         p = kolmogorov_sf(math.sqrt(n) * d)
         fits.append(FamilyFit(family=family, params=params, ks_d=d, p_indicative=p))
 

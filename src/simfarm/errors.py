@@ -39,6 +39,10 @@ class CriterionError(SimfarmError):
     """A stop criterion raised during evaluation; aborts the batch."""
 
 
+class NumericalError(SimfarmError):
+    """An iterative numerical kernel hit its iteration cap without converging."""
+
+
 class DegenerateSampleError(SimfarmError, ValueError):
     """A sample has no usable variation (e.g. constant data)."""
 

@@ -228,7 +228,8 @@ class SubprocessRunner:
     The chunk is written as a Design CSV prefixed with the reserved
     ``_index`` column; the command must write a ResultTable CSV (``_index``,
     ``_status``, output columns) to the second path.  A nonzero exit, a
-    timeout or a missing or unparsable output file fails the whole chunk.
+    timeout or a missing, unparsable or non-UTF-8 output file fails the whole
+    chunk.
     """
 
     def __init__(self, command: Sequence[str], timeout: float | None = None):

@@ -156,8 +156,11 @@ class ResultTable:
 
     @classmethod
     def from_csv(cls, path) -> "ResultTable":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return cls.read_csv(fh)
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                return cls.read_csv(fh)
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
 
     @classmethod
     def read_csv(cls, fh) -> "ResultTable":
@@ -210,6 +213,20 @@ class ResultTable:
 
         columns = {name: _parse_column(column) for name, column in cells.items()}
         return cls(index=index, status=status, columns=columns)
+
+
+def _utf8_error(path) -> ParseError:
+    """A ParseError naming the line and byte offset of the first non-UTF-8 byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(
+            f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start}",
+            line=raw.count(b"\n", 0, exc.start) + 1,
+        )
+    return ParseError("not UTF-8 text", line=1)
 
 
 def _parse_column(cells: Sequence[str]) -> np.ndarray:

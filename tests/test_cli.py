@@ -397,6 +397,14 @@ class TestExitCodes:
             "analyze", "eda", "--data", str(tmp_path / "nope.csv")
         ) == 2
 
+    def test_non_utf8_data_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xff\xfe,\x80\n")
+        assert run_cli("analyze", "eda", "--data", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simfarm: error: line 1: not UTF-8 text")
+        assert "Traceback" not in err
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "simfarm", "geo", "convert", "180", "deg", "rad"],

@@ -372,10 +372,12 @@ class TestSubprocessRunner:
         assert report.rows_executed == 10
         assert not results.ok_mask().any()
 
-    @pytest.mark.parametrize("fault", ["timeout", "garbage"])
+    @pytest.mark.parametrize("fault", ["timeout", "garbage", "latin1"])
     def test_misbehaving_chunk_costs_only_its_rows(self, tmp_path, fault):
-        # Chunk 2 overruns the timeout or writes an output that is no result CSV.
+        # Chunk 2 overruns the timeout, writes an output that is no result
+        # CSV, or writes bytes that are not UTF-8.
         script = tmp_path / "flaky.py"
+        output = b"\xff\xfe,\x80\n" if fault == "latin1" else b"garbage,\n1\n"
         script.write_text(
             textwrap.dedent(
                 f"""
@@ -383,12 +385,13 @@ class TestSubprocessRunner:
 
                 with open(sys.argv[1]) as fh:
                     rows = list(csv.reader(fh))
+                if int(rows[1][0]) == 5:
+                    if {fault!r} == "timeout":
+                        time.sleep(60)
+                    with open(sys.argv[2], "wb") as fh:
+                        fh.write({output!r})
+                    sys.exit(0)
                 with open(sys.argv[2], "w", newline="") as fh:
-                    if int(rows[1][0]) == 5:
-                        if {fault!r} == "timeout":
-                            time.sleep(60)
-                        fh.write("garbage,\\n1\\n")
-                        sys.exit(0)
                     w = csv.writer(fh, lineterminator="\\n")
                     w.writerow(["_index", "_status", "doubled"])
                     for row in rows[1:]:

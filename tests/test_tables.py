@@ -99,6 +99,13 @@ class TestResultTable:
             ResultTable.from_csv(path)
         assert err.value.line == 4
 
+    def test_non_utf8_bytes_name_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"_index,_status,y\n0,ok,1.0\n\xff\xfe,\x80\n")
+        with pytest.raises(ParseError, match="not UTF-8 text: byte 0xff at offset 26") as err:
+            ResultTable.from_csv(path)
+        assert err.value.line == 3
+
     def test_multiline_cell_shifts_later_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text('_index,_status,label\n0,ok,"two\nlines"\n1,bad,x\n')
