@@ -68,8 +68,18 @@ def f_sf(x: float, df1: float, df2: float) -> float:
     return betainc(df2 / 2.0, df1 / 2.0, df2 / (df1 * x + df2))
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
 def kolmogorov_sf(lam: float, terms: int = 101) -> float:
-    """Asymptotic Kolmogorov survival Q(lam) = 2 sum (-1)^(j-1) exp(-2 j^2 lam^2)."""
+    """Asymptotic Kolmogorov survival Q(lam) = 2 sum (-1)^(j-1) exp(-2 j^2 lam^2).
+
+    The alternating series needs about 4.3/lam terms to meet its stop test;
+    where ``terms`` is too few (lam <= 0.04 by default), Q comes from Jacobi's
+    transform of the same sum,
+    1 - (sqrt(2 pi)/lam) sum exp(-(2k-1)^2 pi^2 / (8 lam^2)), which converges
+    fast exactly there.
+    """
     if lam <= 0:
         return 1.0
     total = 0.0
@@ -78,13 +88,20 @@ def kolmogorov_sf(lam: float, terms: int = 101) -> float:
         total += term
         if abs(term) < 1e-16:
             break
+    else:
+        cdf = 0.0
+        for k in range(1, terms):
+            term = math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * lam * lam))
+            cdf += term
+            if term < 1e-16 * cdf or term == 0.0:
+                break
+        total = 1.0 - _SQRT_2PI / lam * cdf
     return min(1.0, max(0.0, total))
 
 
 # -- studentized range --------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _range_cdf_unit_scale(q: float, k: int) -> float:

@@ -12,6 +12,7 @@ to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -388,32 +389,25 @@ def _cmd_geo(args) -> int:
 
 def _cmd_navsim_worker(args) -> int:
     """Run the built-in simulator over a chunk CSV written by the controller."""
-    import csv as _csv
-
-    import numpy as _np
-
     from .execution import DesignChunk
     from .doe import Design
 
     with open(args.in_csv, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if header[:1] != ["_index"]:
+        # The first header cell, bare or quoted: the table does not keep column order.
+        first_cell = fh.readline().split(",", 1)[0].rstrip("\r\n")
+    if first_cell not in ("_index", '"_index"'):
         raise InvalidArgumentError("chunk CSV must carry the _index column first")
-    name_pos = {name: i for i, name in enumerate(header)}
+    table = ResultTable.from_csv(args.in_csv)
     for required in ("speed", "altitude"):
-        if required not in name_pos:
+        if required not in table.columns:
             raise InvalidArgumentError(f"chunk CSV lacks the {required!r} column")
-    indices = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    factors = simkit.navigation_factors()
-    columns = {
-        "speed": _np.array([float(r[name_pos["speed"]]) for r in rows]),
-        "altitude": _np.array([float(r[name_pos["altitude"]]) for r in rows]),
-    }
     chunk = DesignChunk(
-        design=Design(factors=tuple(factors), columns=columns, seed=None),
-        indices=indices,
+        design=Design(
+            factors=tuple(simkit.navigation_factors()),
+            columns={name: table.column(name) for name in ("speed", "altitude")},
+            seed=None,
+        ),
+        indices=table.index,
     )
     params = simkit.calibrate(noise_sigma=args.noise)
     table = simkit.simulate_navigation(chunk, params, seed=args.seed)
@@ -665,9 +659,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use: a build costs milliseconds, a parse far less."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SimfarmError as exc:

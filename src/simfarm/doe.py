@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, ParseError
 from .rng import substream
-from .tables import CSV_BLOCK_ROWS, format_floats
+from .tables import CSV_BLOCK_ROWS, float_cells, header_line, quote_cell, write_block
 
 __all__ = [
     "Continuous",
@@ -241,19 +241,19 @@ def validate_design(design: Design) -> DesignValidation:
 # -- serialization -----------------------------------------------------------
 
 
-def _format_cells(kind: FactorKind, values: np.ndarray) -> list[str]:
-    """Design CSV cells of one factor's values."""
+def _format_cells(kind: FactorKind, values: np.ndarray) -> tuple[str, list]:
+    """One factor's block of values as ``(conversion, values)`` for ``write_block``."""
     if isinstance(kind, Continuous):
-        return format_floats(values)
+        return float_cells(values)
     if isinstance(kind, Integer):
-        return [str(int(v)) for v in values.tolist()]
+        return "%d", values.tolist()
     if isinstance(kind, Boolean):
-        return ["true" if v else "false" for v in values.tolist()]
-    return [str(v) for v in values]
+        return "%s", ["true" if v else "false" for v in values.tolist()]
+    return "%s", [quote_cell(str(v)) for v in values]
 
 
-def write_design_rows(writer, design: Design, index: np.ndarray | None = None) -> None:
-    """Write ``design``'s rows to a ``csv.writer``, each prefixed by ``index`` if given.
+def write_design_rows(fh, design: Design, index: np.ndarray | None = None) -> None:
+    """Write ``design``'s rows to the text file ``fh``, each prefixed by ``index`` if given.
 
     Cells are formatted a block of rows at a time, column by column.
     """
@@ -261,16 +261,18 @@ def write_design_rows(writer, design: Design, index: np.ndarray | None = None) -
         block = slice(lo, lo + CSV_BLOCK_ROWS)
         cols = [_format_cells(f.kind, design.columns[f.name][block]) for f in design.factors]
         if index is not None:
-            cols.insert(0, index[block].tolist())
-        writer.writerows(zip(*cols))
+            cols.insert(0, ("%d", index[block].tolist()))
+        if len(cols) == 1 and cols[0][0] == "%s":
+            # A lone empty cell is quoted, or it would read back as a blank line.
+            cols = [("%s", [c or '""' for c in cols[0][1]])]
+        write_block(fh, cols)
 
 
 def write_design(design: Design, path) -> None:
     """Design CSV: header row of factor names, RFC-4180 quoting, LF endings."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f.name for f in design.factors])
-        write_design_rows(writer, design)
+        fh.write(header_line(f.name for f in design.factors))
+        write_design_rows(fh, design)
 
 
 def read_design(path, factors: Sequence[FactorSpec]) -> Design:
@@ -283,22 +285,24 @@ def read_design(path, factors: Sequence[FactorSpec]) -> Design:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", line=1) from None
-        expected = [f.name for f in factors]
-        if header != expected:
-            raise ParseError(
-                f"header {header!r} does not match factor names {expected!r}", line=1
-            )
-        cells: list[list[str]] = []
-        for row in reader:
-            if len(row) != len(expected):
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("missing header row", line=1)
+            expected = [f.name for f in factors]
+            if header != expected:
                 raise ParseError(
-                    f"expected {len(expected)} columns, found {len(row)}",
-                    line=reader.line_num,
+                    f"header {header!r} does not match factor names {expected!r}", line=1
                 )
-            cells.append(row)
+            cells: list[list[str]] = []
+            for row in reader:
+                if len(row) != len(expected):
+                    raise ParseError(
+                        f"expected {len(expected)} columns, found {len(row)}",
+                        line=reader.line_num,
+                    )
+                cells.append(row)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
 
     n = len(cells)
     columns: dict[str, np.ndarray] = {}

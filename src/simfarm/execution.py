@@ -12,7 +12,6 @@ run costs time linear in the rows executed.
 
 from __future__ import annotations
 
-import csv
 import subprocess
 import tempfile
 import time
@@ -30,7 +29,7 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
 )
-from .tables import RESERVED_INDEX, ResultTable
+from .tables import RESERVED_INDEX, ResultTable, header_line
 
 __all__ = [
     "DesignChunk",
@@ -241,9 +240,8 @@ class SubprocessRunner:
     def _write_chunk(self, chunk: DesignChunk, path: Path) -> None:
         design = chunk.design
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([RESERVED_INDEX, *(f.name for f in design.factors)])
-            write_design_rows(writer, design, index=chunk.indices)
+            fh.write(header_line([RESERVED_INDEX, *(f.name for f in design.factors)]))
+            write_design_rows(fh, design, index=chunk.indices)
 
     def __call__(self, chunk: DesignChunk) -> ResultTable:
         with tempfile.TemporaryDirectory(prefix="simfarm-chunk-") as tmp:

@@ -88,16 +88,20 @@ class MlpModel:
         """
         acts = self._forward(X)
         out = acts[-1]
-        n = len(X)
         if self.task == "regression":
-            diff = out - target
-            loss = float(np.mean(diff**2))
-            delta = 2.0 * diff / (n * out.shape[1])
+            loss = float(np.mean((out - target) ** 2))
         else:
-            probs = _softmax(out)
-            eps = 1e-12
-            loss = float(-np.mean(np.sum(target * np.log(probs + eps), axis=1)))
-            delta = (probs - target) / n
+            loss = float(-np.mean(np.sum(target * np.log(_softmax(out) + 1e-12), axis=1)))
+        return (loss, *self._gradients(acts, target))
+
+    def _gradients(self, acts: list[np.ndarray], target: np.ndarray):
+        """Gradients of the mean loss for every weight and bias, from ``_forward``'s output."""
+        out = acts[-1]
+        n = len(out)
+        if self.task == "regression":
+            delta = 2.0 * (out - target) / (n * out.shape[1])
+        else:
+            delta = (_softmax(out) - target) / n
         grads_w = [np.empty(0)] * len(self.weights)
         grads_b = [np.empty(0)] * len(self.biases)
         for layer in range(len(self.weights) - 1, -1, -1):
@@ -105,7 +109,7 @@ class MlpModel:
             grads_b[layer] = delta.sum(axis=0)
             if layer > 0:
                 delta = (delta @ self.weights[layer].T) * (acts[layer] > 0.0)
-        return loss, grads_w, grads_b
+        return grads_w, grads_b
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "MlpModel":
         X = np.asarray(X, dtype=np.float64)
@@ -124,9 +128,11 @@ class MlpModel:
         n = len(X)
         for epoch in range(self.epochs):
             order = substream(seed, 1, epoch).permutation(n)
+            X_epoch, target_epoch = X[order], target[order]
             for start in range(0, n, self.batch_size):
-                batch = order[start : start + self.batch_size]
-                _, grads_w, grads_b = self.loss_and_grads(X[batch], target[batch])
+                stop = start + self.batch_size
+                acts = self._forward(X_epoch[start:stop])
+                grads_w, grads_b = self._gradients(acts, target_epoch[start:stop])
                 for layer in range(len(self.weights)):
                     self.weights[layer] -= self.learning_rate * grads_w[layer]
                     self.biases[layer] -= self.learning_rate * grads_b[layer]

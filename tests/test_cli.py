@@ -330,6 +330,21 @@ class TestNavsimWorker:
         )
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("speed,_index,altitude\n400,0,20000\n", "_index column first"),
+            ("", "_index column first"),
+            ("_index,speed\n0,400\n", "lacks the 'altitude' column"),
+        ],
+    )
+    def test_malformed_chunk_exits_two(self, tmp_path, capsys, text, message):
+        chunk = tmp_path / "in.csv"
+        chunk.write_text(text)
+        assert run_cli("navsim-worker", str(chunk), str(tmp_path / "out.csv")) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestCaseStudyCommand:
     def test_small_pipeline(self, tmp_path):
         out = tmp_path / "cs"
@@ -391,6 +406,49 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             dispatch(["doe", "--n", "10"])
         assert exc.value.code == 1
+
+    def test_over_limit_cell_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("_index,_status,y\n0,ok,1\n1,ok," + "9" * 200_000 + "\n")
+        assert run_cli("analyze", "outliers", "--data", str(path), "--column", "y") == 2
+        assert "field larger than field limit" in capsys.readouterr().err
+
+    def test_parser_is_reused_across_calls(self, tmp_path, results_csv, capsys):
+        # A usage error, then two different commands (one of them twice, with
+        # and without an option), through the one cached parser and through a
+        # parser built afresh for every call.
+        import simfarm.cli as cli
+
+        out = tmp_path / "o.json"
+        argvs = [
+            ["analyze", "outliers", "--data", str(results_csv), "--bogus"],
+            ["geo", "convert", "3", "km", "m"],
+            ["analyze", "outliers", "--data", str(results_csv), "--column", "cost",
+             "--method", "zscore", "--k", "2", "--out", str(out)],
+            ["analyze", "outliers", "--data", str(results_csv), "--column", "cost",
+             "--out", str(out)],
+        ]
+
+        def run_all(fresh: bool):
+            out.unlink(missing_ok=True)
+            outputs = []
+            for argv in argvs:
+                if fresh:
+                    cli._parser.cache_clear()
+                try:
+                    code = dispatch(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                outputs.append((code, captured.out, captured.err,
+                                out.read_text() if out.exists() else None))
+            return outputs
+
+        cached = run_all(fresh=False)
+        assert cli._parser() is cli._parser()
+        assert [o[0] for o in cached] == [1, 0, 0, 0]
+        assert cached[2][3] != cached[3][3]
+        assert run_all(fresh=True) == cached
 
     def test_missing_data_file_exits_two(self, tmp_path):
         assert run_cli(

@@ -1,4 +1,4 @@
-"""The column-wise CSV writers against the per-cell writers they replaced."""
+"""The block CSV writers against the csv-module, per-cell writers they replaced."""
 
 import csv
 import io
@@ -20,6 +20,17 @@ from simfarm.tables import CSV_BLOCK_ROWS, ResultTable, format_float
 
 N = 2 * CSV_BLOCK_ROWS + 123  # two full blocks and a short one
 LEVELS = ("plain", "a,b", 'say "hi"', "two\nlines", "", "trailing ")
+EDGE_FLOATS = (0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308,
+               np.finfo(np.float64).max, -np.finfo(np.float64).max, 1e16, 123456789.0)
+
+
+def block_two_nan(n: int) -> np.ndarray:
+    """Random doubles of every magnitude, the edge values, and NaN in block 2 only."""
+    g = np.random.default_rng(1)
+    y = g.standard_normal(n) * 10.0 ** g.integers(-320, 308, n)
+    y[: len(EDGE_FLOATS)] = EDGE_FLOATS
+    y[CSV_BLOCK_ROWS + 5] = np.nan
+    return y
 
 
 def reference_table_csv(table: ResultTable) -> str:
@@ -79,7 +90,13 @@ def test_result_csv_matches_per_cell_writer(tmp_path):
     table = ResultTable(
         index=np.arange(N) * 3 + 10**12,
         status=np.arange(N) % 4 != 0,
-        columns={"y": y, "label": labels, "flag": np.arange(N) % 2 == 0},
+        columns={
+            "y": y,
+            "label": labels,
+            "flag": np.arange(N) % 2 == 0,
+            "z": block_two_nan(N),
+            **{f"{level}!": -np.arange(N) for level in LEVELS[1:4]},
+        },
     )
     path = tmp_path / "t.csv"
     table.to_csv(path)
@@ -103,3 +120,48 @@ def test_chunk_csv_matches_per_cell_writer(tmp_path):
     header = "_index,x,k,mode,armed\n"
     expected = header + reference_design_rows(chunk.design, positions)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_design_with_nan_and_quoted_names_matches_per_cell_writer(tmp_path):
+    base = mixed_design(N)
+    factors = [FactorSpec(f"{f.name},{LEVELS[2]}", f.kind) for f in base.factors]
+    columns = {g.name: base.columns[f.name] for f, g in zip(base.factors, factors)}
+    columns[factors[0].name] = block_two_nan(N)
+    design = Design(factors=tuple(factors), columns=columns)
+    path = tmp_path / "d.csv"
+    write_design(design, path)
+    fh = io.StringIO(newline="")
+    csv.writer(fh, lineterminator="\n").writerow([f.name for f in factors])
+    expected = fh.getvalue() + reference_design_rows(design)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    positions = np.arange(N, dtype=np.int64)[::-1]
+    chunk = DesignChunk(design=design.take(positions), indices=positions)
+    SubprocessRunner(["true"])._write_chunk(chunk, path)
+    fh = io.StringIO(newline="")
+    csv.writer(fh, lineterminator="\n").writerow(["_index", *(f.name for f in factors)])
+    expected = fh.getvalue() + reference_design_rows(chunk.design, positions)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_single_factor_empty_cells_are_quoted(tmp_path):
+    # A lone empty cell must not read back as a blank line: csv.writer writes "".
+    factors = (FactorSpec("mode", Categorical(LEVELS)),)
+    for design in (
+        lhs_design(factors, 40, seed=5),
+        Design(factors=(FactorSpec("x", Continuous(0.0, 1.0)),),
+               columns={"x": np.array([0.5, np.nan, 0.25])}),
+    ):
+        path = tmp_path / "d.csv"
+        write_design(design, path)
+        header = design.factors[0].name + "\n"
+        assert path.read_bytes() == (header + reference_design_rows(design)).encode("utf-8")
+
+
+def test_percent_g_matches_format_on_random_doubles():
+    g = np.random.default_rng(2)
+    bits = g.integers(0, 2**64, 300_000, dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64)
+    x = np.concatenate([x[~np.isnan(x)], EDGE_FLOATS, [2.0**-1074, 2.0**-1022 * 0.5]])
+    values = x.tolist()
+    assert ["%.17g" % v for v in values] == [format(v, ".17g") for v in values]

@@ -1,5 +1,8 @@
 """Sampling distributions cross-checked against scipy."""
 
+import math
+
+import numpy as np
 import pytest
 from scipy import stats as st
 
@@ -43,10 +46,31 @@ class TestF:
         assert f_sf(x, d1, d2) == pytest.approx(st.f.sf(x, d1, d2), rel=1e-9, abs=1e-12)
 
 
+def reference_kolmogorov_sf(lam: float, terms: int = 101) -> float:
+    """The plain alternating series, which is right only where it converges."""
+    if lam <= 0:
+        return 1.0
+    total = 0.0
+    for j in range(1, terms):
+        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
+        total += term
+        if abs(term) < 1e-16:
+            break
+    return min(1.0, max(0.0, total))
+
+
 class TestKolmogorov:
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.8, 1.0, 1.36, 2.0, 3.0])
     def test_matches_scipy_kstwobign(self, lam):
         assert kolmogorov_sf(lam) == pytest.approx(st.kstwobign.sf(lam), abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.005, 0.01, 0.02, 0.03, 0.04])
+    def test_small_lambda_matches_scipy(self, lam):
+        assert kolmogorov_sf(lam) == pytest.approx(st.kstwobign.sf(lam), abs=1e-12)
+
+    def test_converging_series_unchanged(self):
+        for lam in np.concatenate([np.linspace(0.05, 0.2, 301), np.linspace(0.2, 8.0, 400)]):
+            assert kolmogorov_sf(float(lam)) == reference_kolmogorov_sf(float(lam)), lam
 
     def test_tails(self):
         assert kolmogorov_sf(0.0) == 1.0

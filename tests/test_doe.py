@@ -173,6 +173,13 @@ class TestDesignIo:
             read_design(path, [FactorSpec("x", Continuous(0, 1))])
         assert err.value.line == 3
 
+    def test_over_limit_cell_is_parse_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("x\n0.5\n0." + "1" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            read_design(path, [FactorSpec("x", Continuous(0, 1))])
+        assert err.value.line == 3
+
 
 class TestRfc4180Quoting:
     def test_levels_with_commas_and_quotes_roundtrip(self, tmp_path):

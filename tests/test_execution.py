@@ -372,12 +372,16 @@ class TestSubprocessRunner:
         assert report.rows_executed == 10
         assert not results.ok_mask().any()
 
-    @pytest.mark.parametrize("fault", ["timeout", "garbage", "latin1"])
+    @pytest.mark.parametrize("fault", ["timeout", "garbage", "latin1", "oversized"])
     def test_misbehaving_chunk_costs_only_its_rows(self, tmp_path, fault):
         # Chunk 2 overruns the timeout, writes an output that is no result
-        # CSV, or writes bytes that are not UTF-8.
+        # CSV, writes bytes that are not UTF-8, or writes a cell longer than
+        # the csv module's field limit.
         script = tmp_path / "flaky.py"
-        output = b"\xff\xfe,\x80\n" if fault == "latin1" else b"garbage,\n1\n"
+        output = {
+            "latin1": 'b"\\xff\\xfe,\\x80\\n"',
+            "oversized": 'b"_index,_status,doubled\\n5,ok," + b"9" * 200_000 + b"\\n"',
+        }.get(fault, 'b"garbage,\\n1\\n"')
         script.write_text(
             textwrap.dedent(
                 f"""
@@ -389,7 +393,7 @@ class TestSubprocessRunner:
                     if {fault!r} == "timeout":
                         time.sleep(60)
                     with open(sys.argv[2], "wb") as fh:
-                        fh.write({output!r})
+                        fh.write({output})
                     sys.exit(0)
                 with open(sys.argv[2], "w", newline="") as fh:
                     w = csv.writer(fh, lineterminator="\\n")

@@ -4,7 +4,7 @@ import pytest
 from simfarm.errors import ModelSpecError, TrainingError
 from simfarm.models import ModelSpec, train
 from simfarm.models.forest import RandomForest
-from simfarm.models.mlp import MlpModel
+from simfarm.models.mlp import MlpModel, _softmax
 from simfarm.models.tree import CartTree
 from simfarm.rng import substream
 
@@ -157,7 +157,62 @@ class TestRandomForest:
         assert acc > 0.9
 
 
+def reference_mlp_fit(model: MlpModel, X, y, seed: int) -> MlpModel:
+    """The per-batch gather and loss-computing SGD loop that ``fit`` replaced."""
+    if model.task == "classification":
+        model.classes_ = np.unique(y)
+    model._init_params(X.shape[1], 1 if model.task == "regression" else len(model.classes_), seed)
+    target = model._encode_targets(y)
+    n = len(X)
+    for epoch in range(model.epochs):
+        order = substream(seed, 1, epoch).permutation(n)
+        for start in range(0, n, model.batch_size):
+            batch = order[start : start + model.batch_size]
+            xb, tb = X[batch], target[batch]
+            acts = model._forward(xb)
+            out = acts[-1]
+            if model.task == "regression":
+                diff = out - tb
+                _ = float(np.mean(diff**2))
+                delta = 2.0 * diff / (len(xb) * out.shape[1])
+            else:
+                probs = _softmax(out)
+                _ = float(-np.mean(np.sum(tb * np.log(probs + 1e-12), axis=1)))
+                delta = (probs - tb) / len(xb)
+            grads_w = [np.empty(0)] * len(model.weights)
+            grads_b = [np.empty(0)] * len(model.biases)
+            for layer in range(len(model.weights) - 1, -1, -1):
+                grads_w[layer] = acts[layer].T @ delta
+                grads_b[layer] = delta.sum(axis=0)
+                if layer > 0:
+                    delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
+            for layer in range(len(model.weights)):
+                model.weights[layer] -= model.learning_rate * grads_w[layer]
+                model.biases[layer] -= model.learning_rate * grads_b[layer]
+    return model
+
+
 class TestMlp:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("hidden", [(4,), (32,), (6, 5), (3, 2)])
+    @pytest.mark.parametrize("batch_size", [7, 32, 53, 64])
+    @pytest.mark.parametrize("learning_rate", [0.01, 20.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fit_matches_reference_loop(self, task, hidden, batch_size, learning_rate):
+        # n = 53 is divided by none of the batch sizes but itself; the
+        # 1e3-scale regression target drives several fits to inf and NaN.
+        g = substream(5, 0)
+        x = g.normal(0, 1, (53, 4))
+        y = 1e3 * x[:, 0] + g.normal(0, 1, 53)
+        if task == "classification":
+            y = np.digitize(y, [-300.0, 300.0])
+        params = dict(hidden=hidden, learning_rate=learning_rate, epochs=6,
+                      batch_size=batch_size, task=task)
+        got = MlpModel(**params).fit(x, y, seed=3)
+        want = reference_mlp_fit(MlpModel(**params), x, y, seed=3)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+
     def _probe(self, task, seed=11):
         g = substream(seed, 0)
         x = g.normal(0, 1, (12, 3))
