@@ -56,6 +56,7 @@ from .models import (
     train,
 )
 from .models.preprocess import fit_preprocessor
+from .models.train import class_codes
 from .tables import DataColumn, ResultTable, columns_from_table
 
 __all__ = ["main", "dispatch"]
@@ -267,7 +268,7 @@ def _split_features_target(columns: list[DataColumn], target: str, task: str):
             mapping = {v: i for i, v in enumerate(class_labels)}
             y = np.array([mapping[v] for v in y_col.values], dtype=np.int64)
         else:
-            y = y_col.values.astype(np.int64)
+            y = class_codes(y_col.values, target)
     else:
         if y_col.kind != "numeric":
             raise InvalidArgumentError("regression target must be numeric")

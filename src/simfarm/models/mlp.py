@@ -10,6 +10,8 @@ is bit-reproducible.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..errors import TrainingError
@@ -23,9 +25,45 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# The passes below take one problem's 2-D matrices, or K problems stacked
+# along a leading axis: weights (K, a, b), biases (K, 1, b).  Batched
+# ``matmul`` runs the same kernel on every slice, and the bias gradient sums
+# over the rows of each slice, so stacked problem k gets the bits that its
+# own 2-D pass would.
+
+
+def _forward_pass(X: np.ndarray, weights: list, biases: list) -> list[np.ndarray]:
+    """Activations of every layer, input first."""
+    acts = [X]
+    for layer in range(len(weights) - 1):
+        acts.append(_relu(acts[-1] @ weights[layer] + biases[layer]))
+    acts.append(acts[-1] @ weights[-1] + biases[-1])
+    return acts
+
+
+def _backward_pass(task: str, acts: list[np.ndarray], target: np.ndarray, weights: list):
+    """Gradients of the mean batch loss for every weight and bias.
+
+    A bias gradient keeps the summed row axis with length 1.
+    """
+    out = acts[-1]
+    if task == "regression":
+        delta = 2.0 * (out - target) / (out.shape[-2] * out.shape[-1])
+    else:
+        delta = (_softmax(out) - target) / out.shape[-2]
+    grads_w = [np.empty(0)] * len(weights)
+    grads_b = [np.empty(0)] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].swapaxes(-1, -2) @ delta
+        grads_b[layer] = delta.sum(axis=-2, keepdims=True)
+        if layer > 0:
+            delta = (delta @ weights[layer].swapaxes(-1, -2)) * (acts[layer] > 0.0)
+    return grads_w, grads_b
 
 
 class MlpModel:
@@ -68,11 +106,7 @@ class MlpModel:
             self.biases.append(np.zeros(b))
 
     def _forward(self, X: np.ndarray) -> list[np.ndarray]:
-        acts = [X]
-        for layer in range(len(self.weights) - 1):
-            acts.append(_relu(acts[-1] @ self.weights[layer] + self.biases[layer]))
-        acts.append(acts[-1] @ self.weights[-1] + self.biases[-1])
-        return acts
+        return _forward_pass(X, self.weights, self.biases)
 
     def _encode_targets(self, y: np.ndarray) -> np.ndarray:
         if self.task == "regression":
@@ -96,47 +130,69 @@ class MlpModel:
 
     def _gradients(self, acts: list[np.ndarray], target: np.ndarray):
         """Gradients of the mean loss for every weight and bias, from ``_forward``'s output."""
-        out = acts[-1]
-        n = len(out)
-        if self.task == "regression":
-            delta = 2.0 * (out - target) / (n * out.shape[1])
-        else:
-            delta = (_softmax(out) - target) / n
-        grads_w = [np.empty(0)] * len(self.weights)
-        grads_b = [np.empty(0)] * len(self.biases)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
-            if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (acts[layer] > 0.0)
-        return grads_w, grads_b
+        grads_w, grads_b = _backward_pass(self.task, acts, target, self.weights)
+        return grads_w, [g[0] for g in grads_b]
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "MlpModel":
+        weights, biases = self._train(
+            np.asarray(X, dtype=np.float64)[None], np.asarray(y)[None], seed
+        )
+        self.weights = [w[0] for w in weights]
+        self.biases = [b[0, 0] for b in biases]
+        return self
+
+    def fit_stack(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> list["MlpModel"]:
+        """Fit K problems of one shape, ``X`` (K, n, a) and ``y`` (K, n), at once.
+
+        Model k is bit-identical to ``fit(X[k], y[k], seed)``: every problem
+        starts from the same weights and sees the same batch order.  In
+        classification all problems must hold the same set of classes.
+        """
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if len(X) < 2:
+        trainer = copy.copy(self)
+        weights, biases = trainer._train(X, np.asarray(y), seed)
+        models = []
+        for k in range(len(X)):
+            model = copy.copy(trainer)
+            model.weights = [w[k].copy() for w in weights]
+            model.biases = [b[k, 0].copy() for b in biases]
+            models.append(model)
+        return models
+
+    def _train(self, X: np.ndarray, y: np.ndarray, seed: int):
+        """SGD on stacked problems; returns weights (K, a, b) and biases (K, 1, b).
+
+        Sets ``classes_`` and leaves the initial weights in ``weights``.
+        """
+        n_problems, n, n_in = X.shape
+        if n < 2:
             raise TrainingError("need at least 2 training rows")
         if self.task == "classification":
-            self.classes_ = np.unique(y)
+            self.classes_ = np.unique(y[0])
             if len(self.classes_) < 2:
                 raise TrainingError("classification needs at least 2 classes")
+            if any(not np.array_equal(np.unique(yk), self.classes_) for yk in y[1:]):
+                raise TrainingError("stacked problems must hold the same classes")
             n_out = len(self.classes_)
         else:
             n_out = 1
-        self._init_params(X.shape[1], n_out, seed)
-        target = self._encode_targets(y)
-        n = len(X)
+        self._init_params(n_in, n_out, seed)
+        weights = [np.repeat(w[None], n_problems, axis=0) for w in self.weights]
+        biases = [np.repeat(b[None, None], n_problems, axis=0) for b in self.biases]
+        target = np.stack([self._encode_targets(yk) for yk in y])
         for epoch in range(self.epochs):
             order = substream(seed, 1, epoch).permutation(n)
-            X_epoch, target_epoch = X[order], target[order]
+            X_epoch, target_epoch = X[:, order], target[:, order]
             for start in range(0, n, self.batch_size):
                 stop = start + self.batch_size
-                acts = self._forward(X_epoch[start:stop])
-                grads_w, grads_b = self._gradients(acts, target_epoch[start:stop])
-                for layer in range(len(self.weights)):
-                    self.weights[layer] -= self.learning_rate * grads_w[layer]
-                    self.biases[layer] -= self.learning_rate * grads_b[layer]
-        return self
+                acts = _forward_pass(X_epoch[:, start:stop], weights, biases)
+                grads_w, grads_b = _backward_pass(
+                    self.task, acts, target_epoch[:, start:stop], weights
+                )
+                for layer in range(len(weights)):
+                    weights[layer] -= self.learning_rate * grads_w[layer]
+                    biases[layer] -= self.learning_rate * grads_b[layer]
+        return weights, biases
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.weights:

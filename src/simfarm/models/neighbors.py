@@ -13,6 +13,8 @@ from ..errors import TrainingError
 
 __all__ = ["KnnModel"]
 
+_BLOCK = 1 << 20
+
 
 class KnnModel:
     family = "knn"
@@ -45,19 +47,19 @@ class KnnModel:
         if self._X is None:
             raise TrainingError("model is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        d2 = ((X[:, None, :] - self._X[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+        # test rows go in blocks so the (rows, n_train, p) difference stays near _BLOCK elements
+        step = max(1, _BLOCK // max(1, self._X.size))
+        nearest = np.empty((len(X), self.k), dtype=np.intp)
+        for start in range(0, len(X), step):
+            block = X[start : start + step]
+            d2 = ((block[:, None, :] - self._X[None, :, :]) ** 2).sum(axis=2)
+            nearest[start : start + step] = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         if self.task == "regression":
             return self._y[nearest].astype(np.float64).mean(axis=1)
-        preds = np.empty(len(X), dtype=self._y.dtype)
-        for i, idx in enumerate(nearest):
-            votes = self._y[idx]
-            counts = {c: 0 for c in self.classes_}
-            for v in votes:
-                counts[v] += 1
-            # max count, ties to the smallest label
-            preds[i] = max(sorted(counts), key=lambda c: counts[c])
-        return preds
+        c = len(self.classes_)
+        cells = np.arange(len(X))[:, None] * c + np.searchsorted(self.classes_, self._y[nearest])
+        counts = np.bincount(cells.ravel(), minlength=len(X) * c).reshape(-1, c)
+        return self.classes_[np.argmax(counts, axis=1)]  # ties to the smallest label
 
     def to_state(self) -> dict:
         return {

@@ -9,6 +9,7 @@ or accuracy (classification, higher is better).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ from ..tables import DataColumn
 from .metrics import evaluate_metrics
 from .preprocess import PreprocessorSpec, fit_preprocessor
 from .spec import ModelSpec, sample_params
-from .train import TrainedModel, train
+from .train import TrainedModel, train, train_folds
 
 __all__ = ["kfold_split", "CvReport", "random_search_cv", "random_search_cv_table"]
 
@@ -101,41 +102,43 @@ def _score(task: str, pred: np.ndarray, truth: np.ndarray) -> float:
     return m["accuracy"] if task == "classification" else m["mse"]
 
 
-def random_search_cv(
+def _search(
     spec: ModelSpec,
-    X: np.ndarray,
+    n: int,
     y: np.ndarray,
-    k: int = 5,
-    budget: int = 20,
-    seed: int = 0,
-) -> tuple[TrainedModel, CvReport]:
-    """Sample ``budget`` configurations, k-fold score each, refit the best."""
+    build: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    k: int,
+    budget: int,
+    seed: int,
+) -> CvReport:
+    """Sample ``budget`` configurations and k-fold score each.
+
+    ``build(train_idx, val_idx)`` gives a fold's training and validation
+    matrices.  All folds of one configuration train in one ``train_folds`` call.
+    """
     spec.validate()
     if budget < 1:
         raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if len(X) == 0:
-        raise InvalidArgumentError("data must be non-empty")
-    folds = kfold_split(len(X), k, seed)
+    folds = kfold_split(n, k, seed)
+    train_idx = [np.setdiff1d(np.arange(n), fold, assume_unique=True) for fold in folds]
     sampler = substream(seed, _STREAM_SAMPLER)
     higher = spec.task == "classification"
     report = CvReport(
-        k=k,
-        score_name="accuracy" if higher else "mse",
-        higher_is_better=higher,
+        k=k, score_name="accuracy" if higher else "mse", higher_is_better=higher
     )
-    all_idx = np.arange(len(X))
     for i in range(budget):
         params = sample_params(spec, sampler)
         config_seed = stream_index(seed, _STREAM_CONFIG, i)
-        fold_scores = []
-        for fold in folds:
-            train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
-            fitted = train(
-                spec.with_params(**params), X[train_idx], y[train_idx], seed=config_seed
-            )
-            fold_scores.append(_score(spec.task, fitted.predict(X[fold]), y[fold]))
+        matrices = [build(tr, fold) for tr, fold in zip(train_idx, folds)]
+        fitted = train_folds(
+            spec.with_params(**params), [m[0] for m in matrices], [y[tr] for tr in train_idx],
+            seed=config_seed,
+        )
+        fold_scores = [
+            _score(spec.task, model.predict(x_val), y[fold])
+            for model, (_, x_val), fold in zip(fitted, matrices, folds)
+        ]
         mean = float(np.mean(fold_scores))
         sd = float(np.std(fold_scores, ddof=1)) if len(fold_scores) > 1 else 0.0
         report.evaluated.append(
@@ -145,10 +148,24 @@ def random_search_cv(
         current_best = report.evaluated[report.best_index].mean_score
         if (higher and mean > current_best) or (not higher and mean < current_best):
             report.best_index = i
+    return report
 
-    best_params = report.best.params
+
+def random_search_cv(
+    spec: ModelSpec,
+    X: np.ndarray,
+    y: np.ndarray,
+    k: int = 5,
+    budget: int = 20,
+    seed: int = 0,
+) -> tuple[TrainedModel, CvReport]:
+    """Sample ``budget`` configurations, k-fold score each, refit the best."""
+    X = np.asarray(X, dtype=np.float64)
+    if len(X) == 0:
+        raise InvalidArgumentError("data must be non-empty")
+    report = _search(spec, len(X), y, lambda tr, val: (X[tr], X[val]), k, budget, seed)
     best_seed = stream_index(seed, _STREAM_CONFIG, report.best_index)
-    best_model = train(spec.with_params(**best_params), X, y, seed=best_seed)
+    best_model = train(spec.with_params(**report.best.params), X, y, seed=best_seed)
     return best_model, report
 
 
@@ -169,43 +186,17 @@ def random_search_cv_table(
     """
     if preprocess_spec is None:
         preprocess_spec = PreprocessorSpec.default_for(features)
-    spec.validate()
-    if budget < 1:
-        raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
+
+    def subset(idx: np.ndarray) -> list[DataColumn]:
+        return [DataColumn(c.name, c.kind, c.values[idx]) for c in features]
+
+    def build(train_idx: np.ndarray, val_idx: np.ndarray):
+        train_cols = subset(train_idx)
+        fp = fit_preprocessor(preprocess_spec, train_cols)
+        return fp.transform(train_cols).matrix, fp.transform(subset(val_idx)).matrix
+
     n = len(features[0]) if features else 0
-    y = np.asarray(y)
-    folds = kfold_split(n, k, seed)
-    sampler = substream(seed, _STREAM_SAMPLER)
-    higher = spec.task == "classification"
-    report = CvReport(
-        k=k, score_name="accuracy" if higher else "mse", higher_is_better=higher
-    )
-    all_idx = np.arange(n)
-
-    def subset(cols: list[DataColumn], idx: np.ndarray) -> list[DataColumn]:
-        return [DataColumn(c.name, c.kind, c.values[idx]) for c in cols]
-
-    for i in range(budget):
-        params = sample_params(spec, sampler)
-        config_seed = stream_index(seed, _STREAM_CONFIG, i)
-        fold_scores = []
-        for fold in folds:
-            train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
-            fp = fit_preprocessor(preprocess_spec, subset(features, train_idx))
-            x_train = fp.transform(subset(features, train_idx)).matrix
-            x_val = fp.transform(subset(features, fold)).matrix
-            fitted = train(spec.with_params(**params), x_train, y[train_idx], seed=config_seed)
-            fold_scores.append(_score(spec.task, fitted.predict(x_val), y[fold]))
-        mean = float(np.mean(fold_scores))
-        sd = float(np.std(fold_scores, ddof=1)) if len(fold_scores) > 1 else 0.0
-        report.evaluated.append(
-            EvaluatedConfig(params=params, fold_scores=[float(s) for s in fold_scores],
-                            mean_score=mean, sd_score=sd)
-        )
-        current_best = report.evaluated[report.best_index].mean_score
-        if (higher and mean > current_best) or (not higher and mean < current_best):
-            report.best_index = i
-
+    report = _search(spec, n, y, build, k, budget, seed)
     fp = fit_preprocessor(preprocess_spec, features)
     x_all = fp.transform(features).matrix
     best_seed = stream_index(seed, _STREAM_CONFIG, report.best_index)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ModelSpecError, TrainingError
+from ..errors import InvalidArgumentError, ModelSpecError, TrainingError
 from ..tables import DataColumn
 from .forest import RandomForest
 from .linear import RidgeRegressor
@@ -16,7 +17,7 @@ from .preprocess import FittedPreprocessor
 from .spec import ModelSpec
 from .tree import CartTree
 
-__all__ = ["TrainedModel", "train", "MODEL_CLASSES"]
+__all__ = ["TrainedModel", "train", "train_folds", "class_codes", "MODEL_CLASSES"]
 
 MODEL_CLASSES = {
     "linear_ridge": RidgeRegressor,
@@ -78,6 +79,44 @@ def _build(family: str, task: str, params: dict):
     raise ModelSpecError(f"unknown family {family!r}")
 
 
+def class_codes(values: np.ndarray, name: str) -> np.ndarray:
+    """Numeric class labels as int64; each must be a finite whole number.
+
+    Raises ``InvalidArgumentError`` naming ``name`` and the first bad row,
+    where a plain cast would truncate 1.6 to 1 and turn NaN into a garbage class.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return values.astype(np.int64)
+    floats = values.astype(np.float64)
+    bad = ~(np.isfinite(floats) & (np.trunc(floats) == floats) & (np.abs(floats) < 2.0**63))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidArgumentError(
+            f"classification target {name!r} must hold whole-number class labels; "
+            f"row {row} holds {float(floats[row])!r}"
+        )
+    return floats.astype(np.int64)
+
+
+def _checked(spec: ModelSpec, X, y) -> tuple[dict, np.ndarray, np.ndarray]:
+    """``spec``'s fixed parameters and ``(X, y)`` as validated float / label arrays."""
+    spec.validate()
+    params = spec.fixed_params()
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or len(X) != len(y):
+        raise TrainingError("X must be a 2-D matrix aligned with y")
+    if len(X) < 2:
+        raise TrainingError("need at least 2 training rows")
+    if spec.task == "classification":
+        y = class_codes(y, "y")
+        if len(np.unique(y)) < 2:
+            raise TrainingError("classification needs at least 2 classes in y")
+    else:
+        y = np.asarray(y).astype(np.float64)
+    return params, X, y
+
+
 def train(
     spec: ModelSpec,
     X: np.ndarray,
@@ -87,21 +126,7 @@ def train(
     class_labels: list[str] | None = None,
 ) -> TrainedModel:
     """Fit ``spec`` (all hyperparameters fixed) on ``(X, y)``."""
-    spec.validate()
-    params = spec.fixed_params()
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise TrainingError("X must be a 2-D matrix aligned with y")
-    if len(X) < 2:
-        raise TrainingError("need at least 2 training rows")
-    y = np.asarray(y)
-    if spec.task == "classification":
-        y = y.astype(np.int64)
-        if len(np.unique(y)) < 2:
-            raise TrainingError("classification needs at least 2 classes in y")
-    else:
-        y = y.astype(np.float64)
-
+    params, X, y = _checked(spec, X, y)
     model = _build(spec.family, spec.task, params)
     if spec.family in ("random_forest", "mlp"):
         model.fit(X, y, seed=seed)
@@ -116,3 +141,37 @@ def train(
         preprocessor=preprocessor,
         class_labels=class_labels,
     )
+
+
+def train_folds(
+    spec: ModelSpec, xs: list[np.ndarray], ys: list[np.ndarray], seed: int = 0
+) -> Iterator[TrainedModel]:
+    """``train(spec, xs[i], ys[i], seed)`` for every fold i in order, bit for bit.
+
+    MLP folds with the same training-matrix shape and class set start from the
+    same weights and see the same batch order, so each such group trains as one
+    stack (``MlpModel.fit_stack``) before the first model is yielded.  Folds of
+    every other family train one at a time as the iterator advances, so only
+    one fitted model, which for a forest can take megabytes, is alive at once.
+    """
+    if spec.family != "mlp":
+        for x, y in zip(xs, ys):
+            yield train(spec, x, y, seed=seed)
+        return
+    checked = [_checked(spec, x, y) for x, y in zip(xs, ys)]
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, x, y) in enumerate(checked):
+        classes = np.unique(y).tobytes() if spec.task == "classification" else b""
+        groups.setdefault((x.shape, classes), []).append(i)
+    out: list[TrainedModel | None] = [None] * len(checked)
+    for members in groups.values():
+        params = checked[members[0]][0]
+        models = _build(spec.family, spec.task, params).fit_stack(
+            np.stack([checked[i][1] for i in members]),
+            np.stack([checked[i][2] for i in members]),
+            seed=seed,
+        )
+        for i, model in zip(members, models):
+            out[i] = TrainedModel(family=spec.family, task=spec.task, params=params,
+                                  model=model, seed=int(seed))
+    yield from out

@@ -8,9 +8,9 @@ break toward the lower feature index and threshold.
 Each feature is sorted once per tree.  A node holds its rows in every
 feature's sorted order, and a child keeps its parent's order, which is the
 stable sort of the child's own rows.  The split search scores every cut of
-every candidate feature at once from prefix sums (``cumsum`` adds in row
-order, so the scores are those of a sequential scan), and prediction walks
-all rows down the tree one level at a time.
+a block of candidate features at once from prefix sums (``cumsum`` adds in
+row order, so the scores are those of a sequential scan), and prediction
+walks all rows down the tree one level at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import numpy as np
 from ..errors import TrainingError
 
 __all__ = ["CartTree"]
+
+_SPLIT_BLOCK = 1 << 16
 
 
 class CartTree:
@@ -63,6 +65,23 @@ class CartTree:
     def _best_split(self, X, y, sorted_rows, feature_ids) -> tuple[int, float] | None:
         """Best ``(feature, threshold)`` over ``feature_ids``, or None if no cut is legal.
 
+        The features are scored in blocks of about ``_SPLIT_BLOCK`` cells, so
+        the transient arrays stay bounded; a later block wins only with a
+        strictly lower score, which keeps the lower feature on a tie.
+        """
+        n = sorted_rows.shape[1]
+        cells = n * (len(self.classes_) if self.task == "classification" else 1)
+        step = max(1, _SPLIT_BLOCK // cells)
+        best = None
+        for start in range(0, len(feature_ids), step):
+            found = self._best_split_block(X, y, sorted_rows, feature_ids[start : start + step])
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
+        return None if best is None else best[1:]
+
+    def _best_split_block(self, X, y, sorted_rows, feature_ids):
+        """``(score, feature, threshold)`` of the best legal cut in ``feature_ids``, or None.
+
         Cut ``i`` puts the first ``i + 1`` rows of a feature's sorted order on
         the left; only cuts leaving ``min_leaf`` rows on each side and falling
         between distinct values are scored.
@@ -97,7 +116,7 @@ class CartTree:
         if not score[r, j] < np.inf:
             return None
         i = lo + j
-        return int(feature_ids[r]), float(0.5 * (xs[r, i] + xs[r, i + 1]))
+        return score[r, j], int(feature_ids[r]), float(0.5 * (xs[r, i] + xs[r, i + 1]))
 
     def _build(self, X, y, idx, sorted_rows, depth: int, rng, feature_fraction: float) -> int:
         """Grow the subtree on rows ``idx`` (ascending); ``sorted_rows`` is (p, len(idx))."""

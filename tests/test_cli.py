@@ -259,6 +259,24 @@ class TestModelCommands:
         pred = ResultTable.from_csv(pred_path)
         assert set(pred.column("prediction")) <= {"hi", "lo"}
 
+    @pytest.mark.parametrize("bad", [1.6, float("nan")])
+    def test_fractional_class_labels_exit_2(self, tmp_path, capsys, bad):
+        labels = np.array([0.0, 1.0, bad, 1.0, 0.0, 1.0])
+        table = ResultTable(
+            index=np.arange(6),
+            status=np.ones(6, dtype=bool),
+            columns={"x": np.arange(6.0), "label": labels},
+        )
+        data = tmp_path / "frac.csv"
+        table.to_csv(data)
+        code = run_cli(
+            "model", "search", "--data", str(data), "--target", "label",
+            "--task", "classification", "--family", "cart_tree", "--k", "2",
+            "--budget", "1", "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 2
+        assert "'label'" in capsys.readouterr().err and not (tmp_path / "model.json").exists()
+
     def test_smote_subcommand(self, tmp_path):
         g = substream(3, 0)
         n_min, n_maj = 8, 40

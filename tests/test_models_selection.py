@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+import simfarm.models.selection as selection
 from simfarm.errors import InvalidArgumentError
 from simfarm.models import (
     ModelSpec,
@@ -11,6 +14,7 @@ from simfarm.models import (
     random_search_cv,
     random_search_cv_table,
 )
+from simfarm.models import save_model, train
 from simfarm.models.preprocess import ColumnDirective, PreprocessorSpec
 from simfarm.rng import substream
 from simfarm.tables import DataColumn
@@ -138,3 +142,39 @@ class TestTableSearch:
         pred = model.predict_table(features)
         metrics = evaluate_metrics(pred, y, "regression")
         assert metrics["r2"] > 0.99
+
+
+def train_each_fold(spec, xs, ys, seed=0):
+    """The per-fold ``train`` loop that the stacked MLP fit replaced."""
+    return [train(spec, x, y, seed=seed) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("entry", ["table", "matrix"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mlp_search_matches_per_fold_training(monkeypatch, tmp_path, task, entry):
+    # 61 rows in 4 folds train on 45 or 46 rows, so each configuration fits two stacks.
+    g = substream(21, 0)
+    n = 61
+    x1 = g.normal(10, 3, n)
+    levels = np.array(["a", "b", "c"], dtype=object)[g.integers(0, 3, n)]
+    y = 2.0 * x1 + np.where(levels == "b", 5.0, 0.0) + g.normal(0, 0.5, n)
+    if task == "classification":
+        y = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3])).astype(np.int64)
+    features = [DataColumn.numeric("x1", x1), DataColumn.categorical("grp", levels)]
+    spec = default_spec("mlp", task)
+
+    def search():
+        if entry == "table":
+            return random_search_cv_table(spec, features, y, k=4, budget=3, seed=5)
+        x = np.column_stack([(x1 - 10.0) / 3.0, levels == "b"])
+        return random_search_cv(spec, x, y, k=4, budget=3, seed=5)
+
+    def outputs(name):
+        model, report = search()
+        save_model(model, tmp_path / name)
+        return json.dumps(report.to_dict()), (tmp_path / name).read_bytes()
+
+    stacked = outputs("stacked.json")
+    monkeypatch.setattr(selection, "train_folds", train_each_fold)
+    assert stacked == outputs("per_fold.json")

@@ -1,10 +1,17 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from simfarm.errors import ModelSpecError, TrainingError
-from simfarm.models import ModelSpec, train
+import simfarm.models.neighbors as neighbors_module
+import simfarm.models.tree as tree_module
+from simfarm.errors import InvalidArgumentError, ModelSpecError, TrainingError
+from simfarm.models import KnnModel, ModelSpec, kfold_split, train
 from simfarm.models.forest import RandomForest
 from simfarm.models.mlp import MlpModel, _softmax
+from simfarm.models.serialize import model_to_dict
+from simfarm.models.train import train_folds
 from simfarm.models.tree import CartTree
 from simfarm.rng import substream
 
@@ -60,6 +67,41 @@ class TestKnn:
     def test_k_larger_than_train_rejected(self):
         with pytest.raises(TrainingError):
             train(ModelSpec("knn", "regression", {"k": 10}), np.zeros((3, 1)), np.zeros(3))
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("block", [1 << 20, 1])
+    def test_blocked_predict_matches_full_distance_matrix(self, monkeypatch, task, block):
+        # p = 9 makes each distance a pairwise sum; block 1 puts every test row
+        # in its own block.  Coarse grid values give distance ties and vote ties.
+        g = substream(16, 0)
+        x = np.round(g.normal(0, 1, (120, 9)), 1)
+        if task == "classification":
+            y = np.array([3, 7, 11])[g.integers(0, 3, 120)]
+        else:
+            y = g.normal(0, 1, 120)
+        x_test = np.vstack([x[:10], np.round(g.normal(0, 1, (190, 9)), 1)])
+        monkeypatch.setattr(neighbors_module, "_BLOCK", block)
+        for k in (1, 4, 6):
+            model = KnnModel(k=k, task=task).fit(x, y)
+            got = model.predict(x_test)
+            want = knn_predict_rows(model, x_test)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def knn_predict_rows(model: KnnModel, X: np.ndarray) -> np.ndarray:
+    """The full distance matrix and per-row dict vote that ``KnnModel.predict`` replaced."""
+    d2 = ((X[:, None, :] - model._X[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+    if model.task == "regression":
+        return model._y[nearest].astype(np.float64).mean(axis=1)
+    preds = np.empty(len(X), dtype=model._y.dtype)
+    for i, idx in enumerate(nearest):
+        counts = {c: 0 for c in model.classes_}
+        for v in model._y[idx]:
+            counts[v] += 1
+        preds[i] = max(sorted(counts), key=lambda c: counts[c])
+    return preds
 
 
 class TestCartTree:
@@ -118,6 +160,40 @@ class TestCartTree:
                 np.random.default_rng(0).random((10, 2)),
                 np.zeros(10, dtype=np.int64),
             )
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_blocked_split_search_matches_one_block(self, monkeypatch, task):
+        # 2^10 cells hold two 400-row features at the root (one with 3 classes);
+        # feature 4 copies feature 1 into a later block, so the tie rule
+        # (lower feature first) is exercised across blocks.
+        g = substream(17, 0)
+        x = np.round(g.normal(0, 1, (400, 7)), 1)
+        x[:, 4] = x[:, 1]
+        y = 3.0 * x[:, 1] + x[:, 5] + g.normal(0, 0.3, 400)
+        if task == "classification":
+            y = np.digitize(y, [-1.0, 1.0])
+
+        def grow(block):
+            monkeypatch.setattr(tree_module, "_SPLIT_BLOCK", block)
+            return CartTree(max_depth=6, min_leaf=2, task=task).fit(x, y).to_state()
+
+        blocked = grow(1 << 10)
+        assert blocked["feature"][0] == 1
+        assert blocked == grow(1 << 40)
+
+    def test_forest_fit_memory_is_bounded(self):
+        # Scoring all 8 features of the root at once peaked at 15.6 MiB;
+        # blocks of about 2^16 cells peak near 9 MiB.
+        g = substream(18, 0)
+        x = g.normal(0, 1, (20_000, 8))
+        y = x[:, 0] + g.normal(0, 0.1, 20_000)
+        tracemalloc.start()
+        try:
+            RandomForest(n_trees=3, max_depth=4, task="regression").fit(x, y, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 2**20
 
 
 class TestRandomForest:
@@ -212,6 +288,66 @@ class TestMlp:
         want = reference_mlp_fit(MlpModel(**params), x, y, seed=3)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("hidden", [(4,), (6, 5)])
+    @pytest.mark.parametrize("batch_size", [7, 53, 64])
+    @pytest.mark.parametrize("learning_rate", [0.01, 20.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stacked_fit_matches_reference_loop(self, task, hidden, batch_size, learning_rate):
+        g = substream(19, 0)
+        x = g.normal(0, 1, (3, 53, 4))
+        y = 1e3 * x[:, :, 0] + g.normal(0, 1, (3, 53))
+        if task == "classification":
+            y = np.digitize(y, [-300.0, 300.0])
+        params = dict(hidden=hidden, learning_rate=learning_rate, epochs=6,
+                      batch_size=batch_size, task=task)
+        template = MlpModel(**params)
+        models = template.fit_stack(x, y, seed=3)
+        assert template.weights == [] and len(models) == 3
+        for k, got in enumerate(models):
+            want = reference_mlp_fit(MlpModel(**params), x[k], y[k], seed=3)
+            for a, b in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    def test_stack_with_different_classes_rejected(self):
+        x = np.zeros((2, 6, 1))
+        y = np.array([[0, 1, 2, 0, 1, 2], [0, 1, 0, 1, 0, 1]])
+        with pytest.raises(TrainingError):
+            MlpModel(task="classification").fit_stack(x, y)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_train_folds_matches_train_per_fold(self, monkeypatch, task):
+        # 53 rows in 5 folds train on 42 or 43 rows: two stacks.  In
+        # classification class 2 sits only in fold 0's held-out rows, so fold
+        # 0 trains on two classes and gets a stack of its own.
+        g = substream(20, 0)
+        n = 53
+        x = g.normal(0, 1, (n, 3))
+        folds = kfold_split(n, 5, seed=1)
+        if task == "classification":
+            y = (x[:, 0] > 0).astype(np.int64)
+            y[folds[0][:4]] = 2
+            want_stacks = [1, 2, 2]
+        else:
+            y = 3.0 * x[:, 0] + g.normal(0, 0.1, n)
+            want_stacks = [2, 3]
+        train_idx = [np.setdiff1d(np.arange(n), fold) for fold in folds]
+        spec = ModelSpec("mlp", task, {"hidden": (5,), "learning_rate": 0.05, "epochs": 8,
+                                       "batch_size": 16})
+        stacks = []
+        fit_stack = MlpModel.fit_stack
+
+        def recording_fit_stack(self, X, y, seed=0):
+            stacks.append(len(X))
+            return fit_stack(self, X, y, seed)
+
+        monkeypatch.setattr(MlpModel, "fit_stack", recording_fit_stack)
+        got = list(train_folds(spec, [x[i] for i in train_idx], [y[i] for i in train_idx], seed=4))
+        assert sorted(stacks) == want_stacks
+        for fold_model, idx in zip(got, train_idx, strict=True):
+            want = train(spec, x[idx], y[idx], seed=4)
+            assert json.dumps(model_to_dict(fold_model)) == json.dumps(model_to_dict(want))
 
     def _probe(self, task, seed=11):
         g = substream(seed, 0)
@@ -315,6 +451,18 @@ class TestSpecValidation:
         spec = ModelSpec("linear_ridge", "regression", {"lam": FloatRange(0.1, 1.0)})
         with pytest.raises(ModelSpecError):
             train(spec, np.zeros((4, 1)), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [1.6, np.nan, -np.inf, 2.0**70])
+    def test_non_integer_class_label_rejected(self, bad):
+        y = np.array([0.0, 1.0, 0.0, bad, 1.0, 0.0])
+        with pytest.raises(InvalidArgumentError, match="'y'.*row 3"):
+            train(ModelSpec("cart_tree", "classification", {}), np.arange(12.0).reshape(6, 2), y)
+
+    def test_whole_float_class_labels_accepted(self):
+        y = np.array([0.0, 1.0, 0.0, 2.0, 1.0, 0.0])
+        model = train(ModelSpec("knn", "classification", {"k": 1}), np.arange(6.0)[:, None], y)
+        assert model.model.classes_.dtype == np.int64
+        assert model.model.classes_.tolist() == [0, 1, 2]
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(TrainingError):
