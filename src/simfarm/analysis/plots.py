@@ -19,6 +19,7 @@ from .eda import fd_bin_count
 __all__ = ["emit_plot", "render_scatter", "render_histogram", "render_heatmap"]
 
 _WIDTH, _HEIGHT = 640, 480
+_SCATTER_BLOCK = 4096  # points formatted by one template
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 48, 56
 
 # compact viridis-style gradient anchors (position, r, g, b)
@@ -153,11 +154,21 @@ def render_scatter(x, y, title: str, xlabel: str, ylabel: str) -> str:
     xlo, xhi = _pad_range(float(x.min()), float(x.max()))
     ylo, yhi = _pad_range(float(y.min()), float(y.max()))
     cv.axes(xlo, xhi, ylo, yhi)
-    for xi, yi in zip(x, y):
-        cv.parts.append(
-            f'<circle class="pt" cx="{_fmt(cv.map_x(xi, xlo, xhi))}" '
-            f'cy="{_fmt(cv.map_y(yi, ylo, yhi))}" r="2.5" fill="#1f77b4" fill-opacity="0.7"/>'
-        )
+    # the map_x / map_y expressions over arrays, so every coordinate keeps its bits;
+    # "%.6g" % v equals _fmt(v) for every double
+    if xhi == xlo:
+        cx = np.full(x.shape, 0.5 * (cv.x0 + cv.x1))
+    else:
+        cx = cv.x0 + (x - xlo) / (xhi - xlo) * (cv.x1 - cv.x0)
+    if yhi == ylo:
+        cy = np.full(y.shape, 0.5 * (cv.y0 + cv.y1))
+    else:
+        cy = cv.y0 - (y - ylo) / (yhi - ylo) * (cv.y0 - cv.y1)
+    point = '<circle class="pt" cx="%.6g" cy="%.6g" r="2.5" fill="#1f77b4" fill-opacity="0.7"/>'
+    xy = np.stack([cx.ravel(), cy.ravel()], axis=1)
+    for lo in range(0, len(xy), _SCATTER_BLOCK):
+        block = xy[lo : lo + _SCATTER_BLOCK]
+        cv.parts.append("\n".join([point] * len(block)) % tuple(block.ravel().tolist()))
     return cv.finish()
 
 

@@ -56,7 +56,7 @@ from .models import (
     train,
 )
 from .models.preprocess import fit_preprocessor
-from .models.train import class_codes
+from .models.train import class_codes, regression_targets
 from .tables import DataColumn, ResultTable, columns_from_table
 
 __all__ = ["main", "dispatch"]
@@ -264,7 +264,13 @@ def _split_features_target(columns: list[DataColumn], target: str, task: str):
     class_labels = None
     if task == "classification":
         if y_col.kind == "categorical":
-            class_labels = sorted(set(v for v in y_col.values if v is not None))
+            missing = [i for i, v in enumerate(y_col.values) if v is None]
+            if missing:
+                raise InvalidArgumentError(
+                    f"classification target {target!r} must hold a label in every row; "
+                    f"row {missing[0]} is empty"
+                )
+            class_labels = sorted(set(y_col.values))
             mapping = {v: i for i, v in enumerate(class_labels)}
             y = np.array([mapping[v] for v in y_col.values], dtype=np.int64)
         else:
@@ -272,7 +278,7 @@ def _split_features_target(columns: list[DataColumn], target: str, task: str):
     else:
         if y_col.kind != "numeric":
             raise InvalidArgumentError("regression target must be numeric")
-        y = y_col.values.astype(np.float64)
+        y = regression_targets(y_col.values, target)
     return features, y, class_labels
 
 

@@ -2,8 +2,9 @@
 
 Tree ``t`` draws its bootstrap sample and per-split feature subsets from the
 stream ``(seed, t)``, so forests are reproducible and independent of build
-order.  With ``n_trees=1``, ``feature_fraction=1`` and bootstrap disabled the
-forest is exactly a single CART tree.
+order; :func:`~simfarm.models.tree.grow_trees` grows all the trees together.
+With ``n_trees=1``, ``feature_fraction=1`` and bootstrap disabled the forest
+is exactly a single CART tree.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from ..errors import TrainingError
 from ..rng import substream
-from .tree import CartTree
+from .tree import CartTree, grow_trees
 
 __all__ = ["RandomForest"]
 
@@ -47,23 +48,31 @@ class RandomForest:
         y = np.asarray(y)
         if len(X) < 2:
             raise TrainingError("need at least 2 training rows")
+        n_classes = 0
         if self.task == "classification":
             self.classes_ = np.unique(y)
             if len(self.classes_) < 2:
                 raise TrainingError("classification needs at least 2 classes")
+            y = np.searchsorted(self.classes_, y)
+            n_classes = len(self.classes_)
+        streams = [substream(seed, t) for t in range(self.n_trees)]
+        samples = np.empty((self.n_trees, len(X)), dtype=np.int64)
+        for rng, sample in zip(streams, samples):
+            sample[:] = rng.integers(0, len(X), size=len(X)) if self.bootstrap else np.arange(len(X))
+            # a degenerate classification draw falls back to the full sample
+            if n_classes and len(np.unique(y[sample])) < 2:
+                sample[:] = np.arange(len(X))
+        m = max(1, int(round(self.feature_fraction * X.shape[1])))
+        grown = grow_trees(X, y, samples, streams, m, self.max_depth, self.min_leaf, n_classes)
         self.trees = []
-        for t in range(self.n_trees):
-            rng = substream(seed, t)
-            if self.bootstrap:
-                idx = rng.integers(0, len(X), size=len(X))
-                xt, yt = X[idx], y[idx]
-                if self.task == "classification" and len(np.unique(yt)) < 2:
-                    # degenerate bootstrap draw: fall back to the full sample
-                    xt, yt = X, y
-            else:
-                xt, yt = X, y
+        for sample, nodes in zip(samples, grown):
             tree = CartTree(max_depth=self.max_depth, min_leaf=self.min_leaf, task=self.task)
-            tree.fit(xt, yt, rng=rng, feature_fraction=self.feature_fraction)
+            tree.set_nodes(nodes)
+            if n_classes:
+                # a tree knows only the classes of its own sample, as if fit on it alone
+                present = np.unique(y[sample])
+                tree.classes_ = self.classes_[present]
+                tree.value = np.searchsorted(present, tree.value).astype(np.float64).tolist()
             self.trees.append(tree)
         return self
 

@@ -114,7 +114,8 @@ def _search(
     """Sample ``budget`` configurations and k-fold score each.
 
     ``build(train_idx, val_idx)`` gives a fold's training and validation
-    matrices.  All folds of one configuration train in one ``train_folds`` call.
+    matrices; they do not depend on the configuration, so each fold's are
+    built once.  All folds of one configuration train in one ``train_folds`` call.
     """
     spec.validate()
     if budget < 1:
@@ -127,17 +128,18 @@ def _search(
     report = CvReport(
         k=k, score_name="accuracy" if higher else "mse", higher_is_better=higher
     )
+    matrices = [build(tr, fold) for tr, fold in zip(train_idx, folds)]
     for i in range(budget):
         params = sample_params(spec, sampler)
         config_seed = stream_index(seed, _STREAM_CONFIG, i)
-        matrices = [build(tr, fold) for tr, fold in zip(train_idx, folds)]
-        fitted = train_folds(
+        fitted = iter(train_folds(
             spec.with_params(**params), [m[0] for m in matrices], [y[tr] for tr in train_idx],
             seed=config_seed,
-        )
+        ))
+        # no name holds a fold's model, so it is freed before the next fold trains
         fold_scores = [
-            _score(spec.task, model.predict(x_val), y[fold])
-            for model, (_, x_val), fold in zip(fitted, matrices, folds)
+            _score(spec.task, next(fitted).predict(x_val), y[fold])
+            for (_, x_val), fold in zip(matrices, folds)
         ]
         mean = float(np.mean(fold_scores))
         sd = float(np.std(fold_scores, ddof=1)) if len(fold_scores) > 1 else 0.0

@@ -17,7 +17,9 @@ from .preprocess import FittedPreprocessor
 from .spec import ModelSpec
 from .tree import CartTree
 
-__all__ = ["TrainedModel", "train", "train_folds", "class_codes", "MODEL_CLASSES"]
+__all__ = [
+    "TrainedModel", "train", "train_folds", "class_codes", "regression_targets", "MODEL_CLASSES",
+]
 
 MODEL_CLASSES = {
     "linear_ridge": RidgeRegressor,
@@ -99,6 +101,22 @@ def class_codes(values: np.ndarray, name: str) -> np.ndarray:
     return floats.astype(np.int64)
 
 
+def regression_targets(values: np.ndarray, name: str) -> np.ndarray:
+    """Regression targets as float64; each must be finite.
+
+    Raises ``InvalidArgumentError`` naming ``name`` and the first bad row,
+    where a missing value would train every fold on NaN and save a NaN model.
+    """
+    y = np.asarray(values).astype(np.float64)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidArgumentError(
+            f"regression target {name!r} must hold finite numbers; row {row} holds {float(y[row])!r}"
+        )
+    return y
+
+
 def _checked(spec: ModelSpec, X, y) -> tuple[dict, np.ndarray, np.ndarray]:
     """``spec``'s fixed parameters and ``(X, y)`` as validated float / label arrays."""
     spec.validate()
@@ -113,7 +131,7 @@ def _checked(spec: ModelSpec, X, y) -> tuple[dict, np.ndarray, np.ndarray]:
         if len(np.unique(y)) < 2:
             raise TrainingError("classification needs at least 2 classes in y")
     else:
-        y = np.asarray(y).astype(np.float64)
+        y = regression_targets(y, "y")
     return params, X, y
 
 

@@ -277,6 +277,49 @@ class TestModelCommands:
         assert code == 2
         assert "'label'" in capsys.readouterr().err and not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("family", ["linear_ridge", "random_forest"])
+    def test_missing_regression_target_exit_2(self, tmp_path, capsys, family):
+        g = substream(3, 0)
+        x = g.uniform(0, 1, 40)
+        target = 2.0 * x + 1.0
+        target[17] = np.nan  # a blank cell in the CSV
+        table = ResultTable(
+            index=np.arange(40),
+            status=np.ones(40, dtype=bool),
+            columns={"x": x, "fuel_consumed": target},
+        )
+        data = tmp_path / "blank.csv"
+        table.to_csv(data)
+        assert ",\n" in data.read_text()  # the missing value is an empty cell
+        code = run_cli(
+            "model", "search", "--data", str(data), "--target", "fuel_consumed",
+            "--task", "regression", "--family", family, "--k", "3",
+            "--budget", "1", "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'fuel_consumed'" in err and "row 17" in err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_empty_class_label_exit_2(self, tmp_path, capsys):
+        labels = np.array(["a", "b", None, "a", "b", "a"], dtype=object)
+        table = ResultTable(
+            index=np.arange(6),
+            status=np.ones(6, dtype=bool),
+            columns={"x": np.arange(6.0), "label": labels},
+        )
+        data = tmp_path / "empty.csv"
+        table.to_csv(data)
+        code = run_cli(
+            "model", "search", "--data", str(data), "--target", "label",
+            "--task", "classification", "--family", "cart_tree", "--k", "2",
+            "--budget", "1", "--out", str(tmp_path / "model.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'label'" in err and "row 2" in err and "error: None" not in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_smote_subcommand(self, tmp_path):
         g = substream(3, 0)
         n_min, n_maj = 8, 40

@@ -144,6 +144,25 @@ class TestTableSearch:
         assert metrics["r2"] > 0.99
 
 
+@pytest.mark.parametrize("budget", [1, 4])
+def test_fold_preprocessors_are_fit_once(monkeypatch, budget):
+    g = substream(12, 0)
+    x = g.normal(0, 1, 60)
+    features = [DataColumn.numeric("x", x)]
+    y = 3.0 * x + g.normal(0, 0.1, 60)
+    calls = []
+    fit = selection.fit_preprocessor
+
+    def counted(spec, columns):
+        calls.append(len(columns[0]))
+        return fit(spec, columns)
+
+    monkeypatch.setattr(selection, "fit_preprocessor", counted)
+    spec = ModelSpec("linear_ridge", "regression", {"lam": FloatRange(1e-6, 1.0, log=True)})
+    random_search_cv_table(spec, features, y, k=3, budget=budget, seed=4)
+    assert calls == [40, 40, 40, 60]  # the k folds, then the refit on every row
+
+
 def train_each_fold(spec, xs, ys, seed=0):
     """The per-fold ``train`` loop that the stacked MLP fit replaced."""
     return [train(spec, x, y, seed=seed) for x, y in zip(xs, ys)]

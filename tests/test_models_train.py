@@ -458,6 +458,13 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError, match="'y'.*row 3"):
             train(ModelSpec("cart_tree", "classification", {}), np.arange(12.0).reshape(6, 2), y)
 
+    @pytest.mark.parametrize("family", ["linear_ridge", "random_forest", "mlp"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_regression_target_rejected(self, family, bad):
+        y = np.array([0.5, 1.0, 0.0, bad, 1.0, 0.0])
+        with pytest.raises(InvalidArgumentError, match="'y'.*row 3"):
+            train(ModelSpec(family, "regression", {}), np.arange(12.0).reshape(6, 2), y)
+
     def test_whole_float_class_labels_accepted(self):
         y = np.array([0.0, 1.0, 0.0, 2.0, 1.0, 0.0])
         model = train(ModelSpec("knn", "classification", {"k": 1}), np.arange(6.0)[:, None], y)

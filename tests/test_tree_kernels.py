@@ -1,17 +1,21 @@
-"""The vectorised tree split search and predict against the scalar scans they replaced.
+"""The batched tree engine and predict against the scalar scans they replaced.
 
-``ReferenceTree`` keeps the per-node ``argsort`` and the sequential
-``_scan_splits_sse`` / ``_scan_splits_gini`` loops.  The NumPy kernels add in
-the same order, so the grown trees must match exactly, not within a tolerance.
+``ReferenceTree`` keeps the recursive preorder build, the per-node
+``argsort`` and the sequential ``_scan_splits_sse`` / ``_scan_splits_gini``
+loops, and ``reference_forest`` grows a forest from it tree by tree.  The
+NumPy kernels add in the same order and draw the same feature subsets, so the
+grown trees must match exactly, not within a tolerance.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-import simfarm.models.forest as forest_module
+import simfarm.models.tree as tree_module
 from simfarm.models import CartTree, RandomForest
+from simfarm.models.tree import feature_draws
 from simfarm.rng import substream
 
 
@@ -82,6 +86,14 @@ def _scan_splits_gini(xs, codes, n_classes, min_leaf):
 
 class ReferenceTree(CartTree):
     """The recursive build with a per-node argsort and scalar scans."""
+
+    def _new_node(self):
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        return len(self.feature) - 1
 
     def _ref_leaf_value(self, y):
         if self.task == "regression":
@@ -163,6 +175,8 @@ def dataset(kind: str, task: str, n: int = 240, seed: int = 3):
         X[:, 1] = rng.normal(size=n)  # one untied feature among the tied ones
     if kind == "twin":
         X[:, 3] = X[:, 0]  # equal scores on both: the lower feature must win
+    if kind == "duplicates":
+        X = X[rng.integers(0, 6, size=n)]  # six distinct rows: impure nodes with no legal cut
     if task == "classification":
         y = (X[:, 0] + X[:, 2] > 5).astype(np.int64) + 2 * (X[:, 3] == 0)
         flip = rng.random(n) < 0.15
@@ -176,7 +190,7 @@ def dataset(kind: str, task: str, n: int = 240, seed: int = 3):
 
 
 @pytest.mark.parametrize("task", ["regression", "classification"])
-@pytest.mark.parametrize("kind", ["constant", "continuous", "twin"])
+@pytest.mark.parametrize("kind", ["constant", "continuous", "twin", "duplicates"])
 @pytest.mark.parametrize("min_leaf", [1, 3, 9])
 @pytest.mark.parametrize("max_depth", [1, 5, 12])
 def test_tree_state_matches_scalar_scan(task, kind, min_leaf, max_depth):
@@ -188,15 +202,110 @@ def test_tree_state_matches_scalar_scan(task, kind, min_leaf, max_depth):
     assert np.array_equal(got.predict(X_test), walk_rows(ref, X_test))
 
 
+def reference_forest(X, y, seed, n_trees, max_depth, min_leaf, feature_fraction, bootstrap,
+                     task):
+    """The per-tree loop: tree t draws its bootstrap and then its feature subsets from
+    ``substream(seed, t)`` and is grown on its own by the recursive reference build."""
+    states = []
+    for t in range(n_trees):
+        rng = substream(seed, t)
+        xt, yt = X, y
+        if bootstrap:
+            idx = rng.integers(0, len(X), size=len(X))
+            if task == "regression" or len(np.unique(y[idx])) >= 2:
+                xt, yt = X[idx], y[idx]  # a one-class draw keeps the full sample
+        tree = ReferenceTree(max_depth=max_depth, min_leaf=min_leaf, task=task)
+        states.append(tree.fit(xt, yt, rng=rng, feature_fraction=feature_fraction).to_state())
+    return states
+
+
 @pytest.mark.parametrize("task", ["regression", "classification"])
 @pytest.mark.parametrize("feature_fraction", [0.25, 0.5, 0.75])
-def test_forest_state_matches_scalar_scan(monkeypatch, task, feature_fraction):
+def test_forest_state_matches_scalar_scan(task, feature_fraction):
     X, y = dataset("continuous", task, n=180, seed=5)
     params = dict(n_trees=4, max_depth=6, min_leaf=2, feature_fraction=feature_fraction, task=task)
     got = RandomForest(**params).fit(X, y, seed=9)
-    monkeypatch.setattr(forest_module, "CartTree", ReferenceTree)
-    ref = RandomForest(**params).fit(X, y, seed=9)
-    assert got.to_state() == ref.to_state()
+    ref = reference_forest(X, y, 9, bootstrap=True, **params)
+    assert got.to_state()["trees"] == ref
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("kind", ["constant", "continuous", "twin", "duplicates"])
+@pytest.mark.parametrize("feature_fraction", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_matches_reference_forest(task, kind, feature_fraction, bootstrap):
+    X, y = dataset(kind, task, n=150, seed=6)
+    params = dict(n_trees=3, max_depth=7, min_leaf=2, feature_fraction=feature_fraction,
+                  bootstrap=bootstrap, task=task)
+    got = RandomForest(**params).fit(X, y, seed=4)
+    assert got.to_state()["trees"] == reference_forest(X, y, 4, **params)
+
+
+def test_forest_trees_keep_their_own_classes():
+    # tiny samples: some bootstrap draws miss a class, some hold one class only
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.array([0, 0, 0, 0, 1, 2])
+    params = dict(n_trees=12, max_depth=3, min_leaf=1, feature_fraction=0.5,
+                  bootstrap=True, task="classification")
+    draws = [y[substream(3, t).integers(0, 6, size=6)] for t in range(12)]
+    assert any(len(np.unique(d)) == 1 for d in draws)  # the full-sample fallback runs
+    got = RandomForest(**params).fit(X, y, seed=3).to_state()["trees"]
+    assert got == reference_forest(X, y, 3, **params)
+    assert {tuple(t["classes"]) for t in got} >= {(0, 1, 2), (0, 1), (0, 2)}
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_forest_is_independent_of_block_and_batch_sizes(monkeypatch, task):
+    X, y = dataset("continuous", task, n=200, seed=7)
+    params = dict(n_trees=5, max_depth=8, min_leaf=1, feature_fraction=0.5, task=task)
+    default = RandomForest(**params).fit(X, y, seed=2).to_state()
+    # one tree per batch, and every split search or partition in many small calls
+    monkeypatch.setattr(tree_module, "_BATCH_IDS", 1)
+    monkeypatch.setattr(tree_module, "_SPLIT_BLOCK", 64)
+    monkeypatch.setattr(tree_module, "_FIRST_DRAWS", 1)
+    assert RandomForest(**params).fit(X, y, seed=2).to_state() == default
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("edge", [np.inf, np.nan])
+def test_cut_beside_inf_or_nan_leaves_an_empty_child(task, edge):
+    # the cut between 1.0 and inf is at inf (every row goes left), beside NaN it is
+    # NaN (every row goes right): the other child is an empty leaf with a NaN mean
+    X = np.c_[np.r_[np.ones(30), np.full(30, edge)], np.arange(60.0) % 7]
+    y = np.r_[np.zeros(30), np.ones(30)] + (np.arange(60) % 3) * 0.1
+    if task == "classification":
+        y = (y > 0.5).astype(np.int64) + np.arange(60) % 2
+    got = CartTree(max_depth=4, task=task).fit(X, y).to_state()
+    ref = ReferenceTree(max_depth=4, task=task).fit(X, y).to_state()
+    assert json.dumps(got) == json.dumps(ref)  # NaN values compare by their text
+    params = dict(n_trees=3, max_depth=4, min_leaf=1, feature_fraction=0.5, bootstrap=True,
+                  task=task)
+    forest = RandomForest(**params).fit(X, y, seed=1).to_state()["trees"]
+    assert json.dumps(forest) == json.dumps(reference_forest(X, y, 1, **params))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 20])
+def test_feature_draws_match_sequential_choice(p):
+    for m in range(1, p + 1):
+        for seed in range(25):
+            got = substream(seed, p, m)
+            table = feature_draws(got, p, m, 40)
+            rng = substream(seed, p, m)
+            ref = [np.sort(rng.choice(p, m, replace=False)) for _ in range(40)]
+            assert np.array_equal(table, ref), (p, m, seed)
+            assert got.integers(0, 2**62) == rng.integers(0, 2**62)  # the streams end in step
+
+
+@pytest.mark.parametrize("m", [200, 201])  # NumPy's Floyd path, then its tail-shuffle path
+def test_feature_draws_for_many_features(m):
+    p = 10_001
+    got = substream(8, m)
+    table = feature_draws(got, p, m, 3)
+    ref = substream(8, m)
+    assert np.array_equal(table, [np.sort(ref.choice(p, m, replace=False)) for _ in range(3)])
+    assert got.integers(0, 2**62) == ref.integers(0, 2**62)  # the streams end in step
 
 
 @pytest.mark.parametrize("task", ["regression", "classification"])
