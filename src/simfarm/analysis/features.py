@@ -30,16 +30,20 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def correlation_ratio(levels: np.ndarray, y: np.ndarray) -> float:
-    """eta = sqrt(SS_between / SS_total) of ``y`` grouped by ``levels``."""
+    """eta = sqrt(SS_between / SS_total) of ``y`` grouped by ``levels``.
+
+    The between-group terms are summed in sorted level order, so the result
+    does not depend on the process's string hashing.
+    """
     y = np.asarray(y, dtype=np.float64)
     grand = y.mean()
     sst = float(((y - grand) ** 2).sum())
     if sst == 0.0:
         return 0.0
-    ssb = 0.0
-    for level in set(levels):
-        member = y[np.array([v == level for v in levels], dtype=bool)]
-        ssb += len(member) * (member.mean() - grand) ** 2
+    _, codes = np.unique(np.asarray(levels), return_inverse=True)
+    counts = np.bincount(codes)
+    means = np.bincount(codes, weights=y) / counts
+    ssb = float(np.sum(counts * (means - grand) ** 2))
     return math.sqrt(max(0.0, min(1.0, ssb / sst)))
 
 

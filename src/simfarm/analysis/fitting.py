@@ -90,6 +90,36 @@ def _cdf_beta(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return betainc(a, b, np.clip(x, 0.0, 1.0))
 
 
+def _family(family: str, x: np.ndarray, xs: np.ndarray, xb: np.ndarray | None):
+    """``family`` fitted to ``x`` as ``(points, cdf, args, params)``.
+
+    ``xs`` is ``x`` sorted and ``xb`` the sorted sample inside (0, 1) that beta
+    is fitted to, or None when there is none.  A family that does not apply
+    raises DomainError with the reason.
+    """
+    mean = float(x.mean())
+    if family == "normal":
+        sigma = math.sqrt(float(x.var(ddof=0)))  # MLE scale
+        return xs, _cdf_normal, (mean, sigma), {"mu": mean, "sigma": sigma}
+    if family == "uniform":
+        lo, hi = float(xs[0]), float(xs[-1])
+        return xs, _cdf_uniform, (lo, hi), {"lo": lo, "hi": hi}
+    if family in ("exponential", "chi_squared") and mean <= 0:
+        raise DomainError(f"{family.replace('_', '-')} needs a positive sample mean")
+    if family == "exponential":
+        return xs, _cdf_exponential, (1.0 / mean,), {"rate": 1.0 / mean}
+    if family == "chi_squared":
+        return xs, _cdf_chi2, (mean,), {"df": mean}  # method of moments
+    if xb is None:
+        raise DomainError("values not strictly inside (0, 1)")
+    mb = float(xb.mean())
+    common = mb * (1.0 - mb) / float(xb.var(ddof=1)) - 1.0
+    a, b = mb * common, (1.0 - mb) * common
+    if a <= 0 or b <= 0:
+        raise DomainError("method-of-moments beta parameters are nonpositive")
+    return xb, _cdf_beta, (a, b), {"alpha": a, "beta": b}
+
+
 def fit_distributions(
     sample,
     candidates=None,
@@ -124,75 +154,25 @@ def fit_distributions(
         raise InvalidArgumentError(f"unknown families {unknown}; supported: {list(FAMILIES)}")
 
     xs = np.sort(x)
-    mean = float(x.mean())
-    var = float(x.var(ddof=1))
-
-    in_unit = bool(xs[0] > 0.0 and xs[-1] < 1.0)
-    rescaled = False
-    xb = xs
-    if "beta" in wanted and not in_unit:
-        if rescale:
-            span = xs[-1] - xs[0]
-            pad = span / (2.0 * n)
-            xb = (xs - (xs[0] - pad)) / (span + 2.0 * pad)
-            rescaled = True
-        elif explicit:
-            raise DomainError(
-                "beta requires values strictly inside (0, 1); pass rescale=True "
-                "or drop the beta candidate"
-            )
+    xb = xs if xs[0] > 0.0 and xs[-1] < 1.0 else None
+    rescaled = bool(rescale and "beta" in wanted and xb is None)
+    if rescaled:
+        span = xs[-1] - xs[0]
+        pad = span / (2.0 * n)
+        xb = (xs - (xs[0] - pad)) / (span + 2.0 * pad)
+    elif "beta" in wanted and xb is None and explicit:
+        raise DomainError(
+            "beta requires values strictly inside (0, 1); pass rescale=True "
+            "or drop the beta candidate"
+        )
 
     fits: list[FamilyFit] = []
     skipped: list[tuple[str, str]] = []
-
     for family in wanted:
-        if family == "normal":
-            sigma = math.sqrt(float(x.var(ddof=0)))  # MLE scale
-            points, cdf, args = xs, _cdf_normal, (mean, sigma)
-            params = {"mu": mean, "sigma": sigma}
-        elif family == "uniform":
-            lo, hi = float(xs[0]), float(xs[-1])
-            points, cdf, args = xs, _cdf_uniform, (lo, hi)
-            params = {"lo": lo, "hi": hi}
-        elif family == "exponential":
-            if mean <= 0:
-                msg = "exponential needs a positive sample mean"
-                if explicit:
-                    raise DomainError(msg)
-                skipped.append((family, msg))
-                continue
-            rate = 1.0 / mean
-            points, cdf, args = xs, _cdf_exponential, (rate,)
-            params = {"rate": rate}
-        elif family == "chi_squared":
-            if mean <= 0:
-                msg = "chi-squared needs a positive sample mean"
-                if explicit:
-                    raise DomainError(msg)
-                skipped.append((family, msg))
-                continue
-            df = mean  # method of moments
-            points, cdf, args = xs, _cdf_chi2, (df,)
-            params = {"df": df}
-        else:  # beta
-            if not in_unit and not rescaled:
-                skipped.append(("beta", "values not strictly inside (0, 1)"))
-                continue
-            mb = float(xb.mean())
-            vb = float(xb.var(ddof=1))
-            common = mb * (1.0 - mb) / vb - 1.0
-            a, b = mb * common, (1.0 - mb) * common
-            if a <= 0 or b <= 0:
-                msg = "method-of-moments beta parameters are nonpositive"
-                if explicit:
-                    raise DomainError(msg)
-                skipped.append((family, msg))
-                continue
-            points, cdf, args = xb, _cdf_beta, (a, b)
-            params = {"alpha": a, "beta": b}
         try:
+            points, cdf, args, params = _family(family, x, xs, xb)
             d = ks_statistic(points, cdf(points, *args))
-        except NumericalError as exc:
+        except (DomainError, NumericalError) as exc:
             if explicit:
                 raise
             skipped.append((family, str(exc)))

@@ -13,6 +13,7 @@ test over >= 3 groups rejects, Tukey HSD (parametric) or Dunn-Bonferroni
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -257,28 +258,30 @@ def brown_forsythe(groups) -> tuple[float, float]:
     return f, p
 
 
+def _post_hoc(names, alpha: float, compare) -> list[PostHocEntry]:
+    """One entry per pair ``i < j`` in order, from ``compare(i, j) -> (statistic, p)``."""
+    out = []
+    for i, j in itertools.combinations(range(len(names)), 2):
+        stat, p = compare(i, j)
+        out.append(PostHocEntry((names[i], names[j]), float(stat), float(p), p < alpha))
+    return out
+
+
 def tukey_hsd(groups, names, alpha: float) -> list[PostHocEntry]:
     """Tukey-Kramer pairwise comparisons against the studentized range."""
     groups = [np.asarray(g, dtype=np.float64) for g in groups]
     k = len(groups)
-    n = sum(len(g) for g in groups)
-    dfw = n - k
+    dfw = sum(len(g) for g in groups) - k
     msw = sum(((g - g.mean()) ** 2).sum() for g in groups) / dfw
-    out = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            se = math.sqrt(msw / 2.0 * (1.0 / len(groups[i]) + 1.0 / len(groups[j])))
-            q = abs(groups[i].mean() - groups[j].mean()) / se if se > 0 else 0.0
-            p = studentized_range_sf(q, k, dfw) if se > 0 else 1.0
-            out.append(
-                PostHocEntry(
-                    pair=(names[i], names[j]),
-                    statistic=float(q),
-                    p_adjusted=float(p),
-                    reject=p < alpha,
-                )
-            )
-    return out
+
+    def compare(i: int, j: int) -> tuple[float, float]:
+        se = math.sqrt(msw / 2.0 * (1.0 / len(groups[i]) + 1.0 / len(groups[j])))
+        if se > 0:
+            q = abs(groups[i].mean() - groups[j].mean()) / se
+            return q, studentized_range_sf(q, k, dfw)
+        return 0.0, 1.0
+
+    return _post_hoc(names, alpha, compare)
 
 
 def dunn_bonferroni(groups, names, alpha: float) -> list[PostHocEntry]:
@@ -288,48 +291,50 @@ def dunn_bonferroni(groups, names, alpha: float) -> list[PostHocEntry]:
     pooled = np.concatenate(groups)
     n = len(pooled)
     ranks = midranks(pooled)
-    mean_ranks = []
-    offset = 0
-    for g in groups:
-        mean_ranks.append(float(ranks[offset : offset + len(g)].mean()))
-        offset += len(g)
-    tie_adj = tie_term(pooled) / (12.0 * (n - 1.0))
-    base_var = n * (n + 1.0) / 12.0 - tie_adj
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    mean_ranks = [float(ranks[lo:hi].mean()) for lo, hi in zip(bounds, bounds[1:])]
+    base_var = n * (n + 1.0) / 12.0 - tie_term(pooled) / (12.0 * (n - 1.0))
     m = k * (k - 1) // 2
-    out = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            se = math.sqrt(base_var * (1.0 / len(groups[i]) + 1.0 / len(groups[j])))
-            z = (mean_ranks[i] - mean_ranks[j]) / se if se > 0 else 0.0
-            p = min(1.0, 2.0 * norm_sf(abs(z)) * m)
-            out.append(
-                PostHocEntry(
-                    pair=(names[i], names[j]),
-                    statistic=float(z),
-                    p_adjusted=float(p),
-                    reject=p < alpha,
-                )
-            )
-    return out
+
+    def compare(i: int, j: int) -> tuple[float, float]:
+        se = math.sqrt(base_var * (1.0 / len(groups[i]) + 1.0 / len(groups[j])))
+        z = (mean_ranks[i] - mean_ranks[j]) / se if se > 0 else 0.0
+        return z, min(1.0, 2.0 * norm_sf(abs(z)) * m)
+
+    return _post_hoc(names, alpha, compare)
 
 
 # -- the selection flow ---------------------------------------------------------
 
 
-def _coerce_groups(groups) -> tuple[list[np.ndarray], list[str]]:
+def _coerce_groups(groups, paired: bool) -> tuple[list[np.ndarray], list[str]]:
+    """Each group as a float array without missing values, and its name.
+
+    Paired data drop a pair when either side is missing.  Input errors are
+    reported in this order: a non-numeric group, fewer than 2 groups, paired
+    data with other than 2 groups, paired groups of unequal length.
+    """
     arrays: list[np.ndarray] = []
     names: list[str] = []
     for i, g in enumerate(groups):
         if isinstance(g, DataColumn):
             if g.kind != "numeric":
                 raise InvalidArgumentError(f"group {g.name!r} is not numeric")
-            arrays.append(g.non_missing())
+            arrays.append(g.values)
             names.append(g.name)
         else:
-            arr = np.asarray(g, dtype=np.float64)
-            arrays.append(arr[~np.isnan(arr)])
+            arrays.append(np.asarray(g, dtype=np.float64))
             names.append(f"group{i + 1}")
-    return arrays, names
+    if len(arrays) < 2:
+        raise InvalidArgumentError("need at least 2 groups")
+    if not paired:
+        return [a[~np.isnan(a)] for a in arrays], names
+    if len(arrays) != 2:
+        raise InvalidArgumentError("paired comparisons are supported for exactly 2 groups")
+    if len(arrays[0]) != len(arrays[1]):
+        raise InvalidArgumentError("paired groups must have equal lengths")
+    keep = ~(np.isnan(arrays[0]) | np.isnan(arrays[1]))
+    return [a[keep] for a in arrays], names
 
 
 def _normality_step(x: np.ndarray, label: str, alpha: float, path: list[PathStep]) -> bool:
@@ -352,112 +357,57 @@ def run_hypothesis_test(groups, paired: bool = False, alpha: float = 0.05) -> Te
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
-    arrays, names = _coerce_groups(groups)
-    if len(arrays) < 2:
-        raise InvalidArgumentError("need at least 2 groups")
-    if paired and len(arrays) != 2:
-        raise InvalidArgumentError(
-            "paired comparisons are supported for exactly 2 groups"
-        )
-    if paired:
-        a_raw = np.asarray(groups[0].values if isinstance(groups[0], DataColumn) else groups[0], dtype=np.float64)
-        b_raw = np.asarray(groups[1].values if isinstance(groups[1], DataColumn) else groups[1], dtype=np.float64)
-        if len(a_raw) != len(b_raw):
-            raise InvalidArgumentError("paired groups must have equal lengths")
-        keep = ~(np.isnan(a_raw) | np.isnan(b_raw))
-        arrays = [a_raw[keep], b_raw[keep]]
+    arrays, names = _coerce_groups(groups, paired)
     for name, arr in zip(names, arrays):
         if len(arr) < 3:
             raise InvalidArgumentError(f"group {name!r} has fewer than 3 observations")
 
     path: list[PathStep] = []
-    k = len(arrays)
+    two = len(arrays) == 2
+    # paired data are screened and tested for normality through their differences
+    samples = [arrays[0] - arrays[1]] if paired else arrays
+    labels = ["differences"] if paired else names
 
-    # degenerate-scale screen: zero-variance groups sink the parametric branch
-    degenerate = [name for name, a in zip(names, arrays) if np.all(a == a[0])]
-    if degenerate and not paired:
-        path.append(
-            PathStep(
-                "variance_degeneracy",
-                float(len(degenerate)),
-                None,
-                f"zero-variance group(s) {degenerate} -> nonparametric branch",
-            )
-        )
+    # degenerate-scale screen: zero-variance samples sink the parametric branch
+    constant = [label for label, x in zip(labels, samples) if np.all(x == x[0])]
+    if constant:
+        stat = 0.0 if paired else float(len(constant))
+        what = "constant paired differences" if paired else f"zero-variance group(s) {constant}"
+        path.append(PathStep("variance_degeneracy", stat, None, f"{what} -> nonparametric branch"))
         parametric = False
+    else:
+        # every sample is tested, so every step lands in the trace
+        parametric = all([_normality_step(x, label, alpha, path) for x, label in zip(samples, labels)])
+
+    if parametric and not paired:
+        bf_stat, bf_p = brown_forsythe(arrays)
+        homogeneous = bf_p >= alpha
+        path.append(PathStep("brown_forsythe", bf_stat, bf_p,
+                             "homogeneous" if homogeneous else "heterogeneous"))
+
+    if paired and parametric:
+        test_name, (stat, p) = "paired_t", paired_t_test(*arrays)
     elif paired:
-        d = arrays[0] - arrays[1]
-        if np.all(d == d[0]):
-            path.append(
-                PathStep(
-                    "variance_degeneracy",
-                    0.0,
-                    None,
-                    "constant paired differences -> nonparametric branch",
-                )
-            )
-            parametric = False
-        else:
-            parametric = _normality_step(d, "differences", alpha, path)
+        test_name, (stat, p, n_used) = "wilcoxon_signed_rank", wilcoxon_signed_rank(*arrays)
+        if n_used == 0:
+            path.append(PathStep("wilcoxon_zero_differences", 0.0, None,
+                                 "all paired differences are zero"))
+    elif two and not parametric:
+        test_name, (stat, p) = "mann_whitney_u", mann_whitney_u(*arrays)
+    elif two and homogeneous:
+        test_name, (stat, p) = "student_t", student_t_test(*arrays)
+    elif two:
+        test_name, (stat, p, _) = "welch_t", welch_t_test(*arrays)
+    elif not parametric:
+        test_name, (stat, p) = "kruskal_wallis", kruskal_wallis(arrays)
+    elif homogeneous:
+        test_name, (stat, p, _, _) = "anova_oneway", anova_oneway(arrays)
     else:
-        parametric = True
-        for name, arr in zip(names, arrays):
-            if not _normality_step(arr, name, alpha, path):
-                parametric = False
+        test_name, (stat, p, _, _) = "welch_anova", welch_anova(arrays)
 
-    post_hoc: list[PostHocEntry] | None = None
-
-    if k == 2:
-        if paired:
-            if parametric:
-                stat, p = paired_t_test(arrays[0], arrays[1])
-                test_name = "paired_t"
-            else:
-                stat, p, n_used = wilcoxon_signed_rank(arrays[0], arrays[1])
-                test_name = "wilcoxon_signed_rank"
-                if n_used == 0:
-                    path.append(
-                        PathStep("wilcoxon_zero_differences", 0.0, None,
-                                 "all paired differences are zero")
-                    )
-        elif parametric:
-            bf_stat, bf_p = brown_forsythe(arrays)
-            homogeneous = bf_p >= alpha
-            path.append(
-                PathStep("brown_forsythe", bf_stat, bf_p,
-                         "homogeneous" if homogeneous else "heterogeneous")
-            )
-            if homogeneous:
-                stat, p = student_t_test(arrays[0], arrays[1])
-                test_name = "student_t"
-            else:
-                stat, p, _ = welch_t_test(arrays[0], arrays[1])
-                test_name = "welch_t"
-        else:
-            stat, p = mann_whitney_u(arrays[0], arrays[1])
-            test_name = "mann_whitney_u"
-    else:
-        if parametric:
-            bf_stat, bf_p = brown_forsythe(arrays)
-            homogeneous = bf_p >= alpha
-            path.append(
-                PathStep("brown_forsythe", bf_stat, bf_p,
-                         "homogeneous" if homogeneous else "heterogeneous")
-            )
-            if homogeneous:
-                stat, p, _, _ = anova_oneway(arrays)
-                test_name = "anova_oneway"
-            else:
-                stat, p, _, _ = welch_anova(arrays)
-                test_name = "welch_anova"
-            if p < alpha:
-                post_hoc = tukey_hsd(arrays, names, alpha)
-        else:
-            stat, p = kruskal_wallis(arrays)
-            test_name = "kruskal_wallis"
-            if p < alpha:
-                post_hoc = dunn_bonferroni(arrays, names, alpha)
-
+    post_hoc = None
+    if not two and p < alpha:
+        post_hoc = (tukey_hsd if parametric else dunn_bonferroni)(arrays, names, alpha)
     decision = "reject" if p < alpha else "fail_to_reject"
     path.append(PathStep(test_name, stat, p, decision))
     return TestReport(

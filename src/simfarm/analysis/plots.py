@@ -150,6 +150,8 @@ def render_scatter(x, y, title: str, xlabel: str, ylabel: str) -> str:
     y = np.asarray(y, dtype=np.float64)
     if x.size == 0 or x.shape != y.shape:
         raise InvalidArgumentError("scatter needs two equal-length non-empty arrays")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidArgumentError("scatter needs finite x and y values")
     cv = _Canvas(title, xlabel, ylabel)
     xlo, xhi = _pad_range(float(x.min()), float(x.max()))
     ylo, yhi = _pad_range(float(y.min()), float(y.max()))
@@ -177,6 +179,8 @@ def render_histogram(values, title: str, xlabel: str, ylabel: str = "count") -> 
     x = x[~np.isnan(x)]
     if x.size == 0:
         raise InvalidArgumentError("histogram needs non-empty data")
+    if np.isinf(x).any():
+        raise InvalidArgumentError("histogram values must be finite (NaN counts as missing)")
     counts, edges = np.histogram(x, bins=fd_bin_count(x))
     cv = _Canvas(title, xlabel, ylabel)
     xlo, xhi = float(edges[0]), float(edges[-1])
@@ -206,6 +210,8 @@ def render_heatmap(
     grid = np.asarray(matrix, dtype=np.float64)
     if grid.ndim != 2 or grid.size == 0:
         raise InvalidArgumentError("heatmap needs a non-empty 2-D matrix")
+    if np.isinf(grid).any() or np.isnan(grid).all():
+        raise InvalidArgumentError("heatmap cells must be finite or NaN (skipped), at least one finite")
     rows, cols = grid.shape
     xlo, xhi, ylo, yhi = extent if extent is not None else (0.0, float(cols), 0.0, float(rows))
     vlo, vhi = float(np.nanmin(grid)), float(np.nanmax(grid))

@@ -56,6 +56,7 @@ from .models import (
     train,
 )
 from .models.preprocess import fit_preprocessor
+from .models.spec import FAMILIES as MODEL_FAMILIES
 from .models.train import class_codes, regression_targets
 from .tables import DataColumn, ResultTable, columns_from_table
 
@@ -577,8 +578,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--task", choices=["regression", "classification"], required=True)
-    p.add_argument("--family", required=True,
-                   choices=["linear_ridge", "knn", "cart_tree", "random_forest", "mlp"])
+    p.add_argument("--family", required=True, choices=MODEL_FAMILIES)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--budget", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -590,8 +590,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--task", choices=["regression", "classification"], required=True)
-    p.add_argument("--family", required=True,
-                   choices=["linear_ridge", "knn", "cart_tree", "random_forest", "mlp"])
+    p.add_argument("--family", required=True, choices=MODEL_FAMILIES)
     p.add_argument("--params", help='fixed hyperparameters as JSON, e.g. \'{"lam": 0.1}\'')
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -11,7 +11,6 @@ so appending factors never perturbs earlier columns.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, ParseError
 from .rng import substream
-from .tables import CSV_BLOCK_ROWS, float_cells, header_line, quote_cell, write_block
+from .tables import CSV_BLOCK_ROWS, float_cells, header_line, quote_cell, read_csv_tokens, write_block
 
 __all__ = [
     "Continuous",
@@ -92,16 +91,6 @@ class FactorSpec:
         elif not isinstance(k, Boolean):
             raise DomainError(f"factor {self.name!r}: unknown kind {k!r}")
 
-    def contains(self, value) -> bool:
-        k = self.kind
-        if isinstance(k, Continuous):
-            return isinstance(value, (int, float)) and k.lo <= float(value) <= k.hi
-        if isinstance(k, Integer):
-            return float(value) == int(value) and k.lo <= int(value) <= k.hi
-        if isinstance(k, Categorical):
-            return value in k.levels
-        return isinstance(value, (bool, np.bool_))
-
 
 def validate_factors(factors: Sequence[FactorSpec]) -> None:
     names = [f.name for f in factors]
@@ -153,9 +142,6 @@ class Design:
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
-
-    def row(self, i: int) -> tuple:
-        return tuple(self.columns[f.name][i] for f in self.factors)
 
     def take(self, positions) -> "Design":
         positions = np.asarray(positions, dtype=np.int64)
@@ -282,35 +268,19 @@ def read_design(path, factors: Sequence[FactorSpec]) -> Design:
     """
     factors = tuple(factors)
     validate_factors(factors)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError("missing header row", line=1)
-            expected = [f.name for f in factors]
-            if header != expected:
-                raise ParseError(
-                    f"header {header!r} does not match factor names {expected!r}", line=1
-                )
-            cells: list[list[str]] = []
-            for row in reader:
-                if len(row) != len(expected):
-                    raise ParseError(
-                        f"expected {len(expected)} columns, found {len(row)}",
-                        line=reader.line_num,
-                    )
-                cells.append(row)
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
+    expected = [f.name for f in factors]
 
-    n = len(cells)
+    def check_header(header: list[str]) -> None:
+        if not header:
+            raise ParseError("missing header row", line=1)
+        if header != expected:
+            raise ParseError(f"header {header!r} does not match factor names {expected!r}", line=1)
+
+    _, n, block_cells, line_of = read_csv_tokens(path, check_header)
     columns: dict[str, np.ndarray] = {}
-    for j, f in enumerate(factors):
+    for f, cells in zip(factors, block_cells(0, n) if n else [()] * len(factors)):
         out = np.empty(n, dtype=_column_dtype(f.kind))
-        for i, row in enumerate(cells):
-            cell = row[j]
-            line = i + 2
+        for i, cell in enumerate(cells):
             try:
                 if isinstance(f.kind, Continuous):
                     out[i] = float(cell)
@@ -324,7 +294,7 @@ def read_design(path, factors: Sequence[FactorSpec]) -> Design:
                     out[i] = cell
             except ValueError:
                 raise ParseError(
-                    f"unparsable cell {cell!r} for factor {f.name!r}", line=line
+                    f"unparsable cell {cell!r} for factor {f.name!r}", line=line_of(i)
                 ) from None
         columns[f.name] = out
     return Design(factors=factors, columns=columns, seed=None)

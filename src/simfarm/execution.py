@@ -12,6 +12,7 @@ run costs time linear in the rows executed.
 
 from __future__ import annotations
 
+import inspect
 import subprocess
 import tempfile
 import time
@@ -39,7 +40,6 @@ __all__ = [
     "SubprocessRunner",
     "register_runner",
     "get_runner",
-    "runner_names",
 ]
 
 
@@ -271,12 +271,15 @@ def register_runner(name: str, factory: Callable[..., Runner]) -> None:
 
 
 def get_runner(name: str, **options) -> Runner:
+    """The runner ``name``'s factory builds from ``options``; options the
+    factory does not take are a ConfigurationError, never silently dropped."""
     if name not in _RUNNERS:
         raise ConfigurationError(
             f"unknown runner {name!r}; available: {sorted(_RUNNERS)}"
         )
-    return _RUNNERS[name](**options)
-
-
-def runner_names() -> list[str]:
-    return sorted(_RUNNERS)
+    factory = _RUNNERS[name]
+    try:
+        inspect.signature(factory).bind(**options)
+    except TypeError as exc:
+        raise ConfigurationError(f"runner {name!r} options: {exc}") from None
+    return factory(**options)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidArgumentError, ModelSpecError, TrainingError
+from ..errors import InvalidArgumentError, TrainingError
 from ..tables import DataColumn
 from .forest import RandomForest
 from .linear import RidgeRegressor
@@ -51,34 +51,9 @@ class TrainedModel:
 
 
 def _build(family: str, task: str, params: dict):
-    if family == "linear_ridge":
-        return RidgeRegressor(lam=params.get("lam", 0.0))
-    if family == "knn":
-        return KnnModel(k=params.get("k", 5), task=task)
-    if family == "cart_tree":
-        return CartTree(
-            max_depth=params.get("max_depth", 8),
-            min_leaf=params.get("min_leaf", 1),
-            task=task,
-        )
-    if family == "random_forest":
-        return RandomForest(
-            n_trees=params.get("n_trees", 30),
-            max_depth=params.get("max_depth", 8),
-            min_leaf=params.get("min_leaf", 1),
-            feature_fraction=params.get("feature_fraction", 1.0),
-            bootstrap=params.get("bootstrap", True),
-            task=task,
-        )
-    if family == "mlp":
-        return MlpModel(
-            hidden=params.get("hidden", (16,)),
-            learning_rate=params.get("learning_rate", 0.01),
-            epochs=params.get("epochs", 100),
-            batch_size=params.get("batch_size", 32),
-            task=task,
-        )
-    raise ModelSpecError(f"unknown family {family!r}")
+    # the ridge model is regression-only and takes no task
+    cls = MODEL_CLASSES[family]
+    return cls(**params) if cls is RidgeRegressor else cls(task=task, **params)
 
 
 def class_codes(values: np.ndarray, name: str) -> np.ndarray:

@@ -162,7 +162,7 @@ def simulate_navigation(chunk: DesignChunk, params: FuelModelParams, seed: int =
     )
 
 
-def navsim_runner(params: FuelModelParams | None = None, seed: int = 0, **_ignored):
+def navsim_runner(params: FuelModelParams | None = None, seed: int = 0):
     """Runner factory registered under the name ``navsim``."""
     model = params if params is not None else calibrate()
 

@@ -19,6 +19,8 @@ is a record of zero cells); whole columns of such a block are parsed with
 an error it raises becomes a :class:`~simfarm.errors.ParseError` at its line.
 Both tokenizers feed the same header, row-width, reserved-cell and column
 checks, so they give the same table or the same error for every input.
+:func:`read_csv_tokens` is the one way in from a file, for result tables and
+design CSVs alike.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "quote_cell",
     "header_line",
     "write_block",
+    "read_csv_tokens",
     "CSV_BLOCK_ROWS",
 ]
 
@@ -212,15 +215,15 @@ class ResultTable:
 
     @classmethod
     def from_csv(cls, path) -> "ResultTable":
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                return cls.read_csv(fh)
-        except UnicodeDecodeError:
-            raise _utf8_error(path) from None
+        return cls._from_tokens(read_csv_tokens(path, _check_header))
 
     @classmethod
     def read_csv(cls, fh) -> "ResultTable":
-        header, n, block_cells, line_of = _tokenize(fh.read())
+        return cls._from_tokens(_tokenize(fh.read(), _check_header))
+
+    @classmethod
+    def _from_tokens(cls, tokens: _Tokens) -> "ResultTable":
+        header, n, block_cells, line_of = tokens
         names = [h for h in header if h not in (RESERVED_INDEX, RESERVED_STATUS)]
         index = np.arange(n, dtype=np.int64)
         status = np.ones(n, dtype=bool)
@@ -270,19 +273,33 @@ class ResultTable:
 
 
 # A tokenized CSV text: the header cells, the number of records after it, the
-# cells of records [lo, hi) column by column, and the line a record starts on.
+# cells of records [lo, hi) column by column, and the line a record ends on.
 _Tokens = tuple[list[str], int, Callable[[int, int], Sequence[Sequence[str]]], Callable[[int], int]]
 
 
-def _tokenize(text: str) -> _Tokens:
+def read_csv_tokens(path, check_header: Callable[[list[str]], None]) -> _Tokens:
+    """Tokenize the UTF-8 CSV file at ``path``.
+
+    ``check_header`` raises for an unacceptable header row (a blank first
+    line reads as no cells) before any record is checked.  A byte that is
+    not UTF-8 is a :class:`ParseError` naming its line and byte offset.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return _tokenize(fh.read(), check_header)
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
+
+
+def _tokenize(text: str, check_header: Callable[[list[str]], None]) -> _Tokens:
     """Split CSV text into records, by ``str.split`` where that is exact."""
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
     if '"' in text or "\r" in text or max(map(len, lines), default=0) > csv.field_size_limit():
-        return _tokenize_with_csv_module(text)
-    header = lines[0].split(",") if lines else []
-    _check_header(header)
+        return _tokenize_with_csv_module(text, check_header)
+    header = lines[0].split(",") if lines and lines[0] else []
+    check_header(header)
     width = len(header)
     body = lines[1:]
     if set(map(str.count, body, repeat(","))) - {width - 1} or "" in body:
@@ -296,11 +313,11 @@ def _tokenize(text: str) -> _Tokens:
     return header, len(body), block_cells, lambda i: i + 2
 
 
-def _tokenize_with_csv_module(text: str) -> _Tokens:
+def _tokenize_with_csv_module(text: str, check_header: Callable[[list[str]], None]) -> _Tokens:
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, [])
-        _check_header(header)
+        check_header(header)
         rows, lines = [], []
         for row in reader:
             _check_width(len(row), len(header), line=reader.line_num)

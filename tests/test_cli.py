@@ -122,6 +122,21 @@ class TestRunCommand:
         path.write_text(json.dumps({"factors": "f.json"}))
         assert run_cli("run", "--config", str(path)) == 2
 
+    def test_runner_options_reach_the_factory(self, tmp_path, factors_json, capsys):
+        cfg = self.make_config(tmp_path, factors_json, criterion=False)
+        doc = json.loads(cfg.read_text())
+        doc["runner_options"] = {"seed": 3}
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(cfg)) == 0
+        doc["runner_options"] = {"noise_sigma": 0.5, "sede": 3}
+        doc["out_dir"] = str(tmp_path / "rejected")
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "runner 'navsim' options" in err and "'noise_sigma'" in err
+        assert not (tmp_path / "rejected").exists()
+
 
 class TestAnalyzeCommands:
     def test_test_subcommand(self, tmp_path, results_csv):

@@ -173,6 +173,21 @@ class TestDesignIo:
             read_design(path, [FactorSpec("x", Continuous(0, 1))])
         assert err.value.line == 3
 
+    def test_non_utf8_byte_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x\n0.5\n\xff\n")
+        with pytest.raises(ParseError, match="byte 0xff at offset 6") as err:
+            read_design(path, [FactorSpec("x", Continuous(0, 1))])
+        assert err.value.line == 3
+
+    def test_multiline_cell_shifts_later_line_numbers(self, tmp_path):
+        factors = [FactorSpec("c", Categorical(("one\ntwo", "a"))), FactorSpec("x", Continuous(0, 1))]
+        path = tmp_path / "bad.csv"
+        path.write_text('c,x\n"one\ntwo",0.5\na,nope\n')
+        with pytest.raises(ParseError, match="'nope'") as err:
+            read_design(path, factors)
+        assert err.value.line == 4
+
     def test_over_limit_cell_is_parse_error(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("x\n0.5\n0." + "1" * 200_000 + "\n")

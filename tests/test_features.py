@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -97,3 +101,23 @@ class TestPrimitives:
         y = g.normal(0, 1, 100) + np.where(levels == "b", 1.0, 0.0)
         dummy = (levels == "b").astype(float)
         assert correlation_ratio(levels, y) == pytest.approx(abs(pearson_r(dummy, y)), abs=1e-12)
+
+    def test_correlation_ratio_independent_of_hash_seed(self):
+        # 12 string levels: summed in set order, the last digit moved with PYTHONHASHSEED
+        script = (
+            "from simfarm.analysis.features import correlation_ratio\n"
+            "from simfarm.rng import substream\n"
+            "g = substream(0, 0)\n"
+            "levels = [f'L{i}' for i in g.integers(0, 12, 5000)]\n"
+            "y = g.normal(0.0, 1.0, 5000) + 0.1 * g.integers(0, 3, 5000)\n"
+            "print(repr(correlation_ratio(levels, y)))\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for seed in range(6)
+        }
+        assert len(outputs) == 1

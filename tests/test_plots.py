@@ -42,6 +42,8 @@ class TestScatter:
             (np.array([-3.2e7, -1.0, 4.4e-5, 1e6, 7.25e12]), np.array([1e-9, -2e-6, 3.0, -8e8, 0.5])),
             (np.array([0.1, np.nan, 0.3]), np.array([1.0, 2.0, 3.0])),
             (np.array([0.1, 0.2, 0.3]), np.array([1.0, np.nan, 3.0])),
+            (np.array([0.1, np.inf, 0.3]), np.array([1.0, 2.0, 3.0])),
+            (np.array([0.1, 0.2, 0.3]), np.array([-np.inf, 2.0, 3.0])),
         ],
     )
     def test_points_match_per_point_loop(self, x, y):
@@ -58,11 +60,12 @@ class TestScatter:
                 )
             return cv.finish()
 
-        if np.isnan(x).any() or np.isnan(y).any():
-            # a NaN bound fails in the axis ticks before any point is placed, as before
-            with pytest.raises(ValueError):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            # a non-finite bound fails in the per-point loop's axis ticks; the renderer
+            # rejects the data before drawing anything
+            with pytest.raises((ValueError, OverflowError)):
                 loop(x, y)
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidArgumentError, match="finite"):
                 render_scatter(x, y, "t", "a", "b")
             return
         assert render_scatter(x, y, "t", "a", "b") == loop(x, y)
@@ -114,6 +117,29 @@ class TestDeterminismAndErrors:
             emit_plot([], "histogram", tmp_path / "x.svg")
         with pytest.raises(InvalidArgumentError):
             emit_plot(np.empty((0, 0)), "heatmap", tmp_path / "x.svg")
+
+    @pytest.mark.parametrize(
+        "data, kind",
+        [
+            ([1.0, np.inf, 2.0], "histogram"),
+            ([-np.inf, 1.0, np.nan], "histogram"),
+            (np.array([[0.0, np.inf], [1.0, 2.0]]), "heatmap"),
+            (np.full((2, 3), np.nan), "heatmap"),
+        ],
+    )
+    def test_non_finite_data_rejected(self, tmp_path, data, kind):
+        path = tmp_path / "x.svg"
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            emit_plot(data, kind, path)
+        assert not path.exists()
+
+    def test_nan_is_missing_in_histogram_and_heatmap(self, tmp_path):
+        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+        emit_plot([1.0, np.nan, 2.0, 3.0], "histogram", a)
+        emit_plot([1.0, 2.0, 3.0], "histogram", b)
+        assert a.read_bytes() == b.read_bytes()
+        emit_plot(np.array([[0.0, np.nan], [1.0, 2.0]]), "heatmap", a)
+        assert len(svg_elements(a, "cell")) == 3
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
