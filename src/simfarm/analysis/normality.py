@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import DegenerateSampleError, InvalidArgumentError
+from ..errors import DegenerateSampleError, InvalidArgumentError, NumericalError
 from .distributions import chi2_sf
 from .special import norm_cdf, norm_ppf_vec
 
@@ -28,18 +28,8 @@ def _polyval(coefs, x: float) -> float:
     return r
 
 
-def shapiro_wilk(sample) -> tuple[float, float]:
-    """Shapiro-Wilk W and p-value for 3 <= n <= 5000."""
-    x = np.sort(np.asarray(sample, dtype=np.float64))
-    n = len(x)
-    if n < 3:
-        raise InvalidArgumentError(f"Shapiro-Wilk needs n >= 3, got {n}")
-    if n > SW_MAX_N:
-        raise InvalidArgumentError(f"Shapiro-Wilk valid up to n = {SW_MAX_N}, got {n}")
-    if x[-1] == x[0]:
-        raise DegenerateSampleError("sample has zero range")
-
-    # Blom scores, then Royston's corrected weights
+def _royston_weights(n: int) -> np.ndarray:
+    """Shapiro-Wilk weights: Blom scores with Royston's corrected tails."""
     m = norm_ppf_vec((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     ssm = float(m @ m)
     c = m / math.sqrt(ssm)
@@ -64,10 +54,28 @@ def shapiro_wilk(sample) -> tuple[float, float]:
             a[1:-1] = m[1:-1] / math.sqrt(phi)
         a[-1] = an
         a[0] = -an
+    return a
 
+
+def shapiro_wilk(sample) -> tuple[float, float]:
+    """Shapiro-Wilk W and p-value for 3 <= n <= 5000."""
+    x = np.sort(np.asarray(sample, dtype=np.float64))
+    n = len(x)
+    if n < 3:
+        raise InvalidArgumentError(f"Shapiro-Wilk needs n >= 3, got {n}")
+    if n > SW_MAX_N:
+        raise InvalidArgumentError(f"Shapiro-Wilk valid up to n = {SW_MAX_N}, got {n}")
+    if x[-1] == x[0]:
+        raise DegenerateSampleError("sample has zero range")
+
+    a = _royston_weights(n)
+
+    # The weights sum to 0, so a @ centered equals a @ x; it keeps the digits
+    # that a @ x cancels away on a sample that varies only in its last bits.
     centered = x - x.mean()
-    w = float((a @ x) ** 2 / (centered @ centered))
-    w = min(w, 1.0)
+    w = min(float((a @ centered) ** 2 / (centered @ centered)), 1.0)
+    if w == 1.0:
+        return w, 1.0
 
     if n == 3:
         p = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
@@ -122,9 +130,13 @@ def dagostino_k2(sample) -> tuple[float, float]:
         * math.sqrt(6.0 * (n + 3.0) * (n + 5.0) / (n * (n - 2.0) * (n - 3.0)))
     )
     big_a = 6.0 + 8.0 / sqrt_b1 * (2.0 / sqrt_b1 + math.sqrt(1.0 + 4.0 / sqrt_b1**2))
+    denom = 1.0 + xk * math.sqrt(2.0 / (big_a - 4.0))
+    if denom == 0.0:
+        raise NumericalError("K^2 kurtosis transform has a zero denominator")
+    q = (1.0 - 2.0 / big_a) / denom
+    # real cube root: q < 0 on a strongly platykurtic sample
     z2 = (
-        (1.0 - 2.0 / (9.0 * big_a))
-        - ((1.0 - 2.0 / big_a) / (1.0 + xk * math.sqrt(2.0 / (big_a - 4.0)))) ** (1.0 / 3.0)
+        (1.0 - 2.0 / (9.0 * big_a)) - math.copysign(abs(q) ** (1.0 / 3.0), q)
     ) / math.sqrt(2.0 / (9.0 * big_a))
 
     k2 = z1 * z1 + z2 * z2

@@ -60,6 +60,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-12 * span:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # a range a few ulps wide: the step no longer moves t
+            break
         t += step
     return ticks
 

@@ -11,7 +11,6 @@ to stderr; data goes to files or stdout.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
@@ -30,7 +29,7 @@ from .analysis import (
 )
 from .analysis.features import pearson_r
 from .doe import lhs_design, load_factors, write_design
-from .errors import ConfigurationError, InvalidArgumentError, SimfarmError
+from .errors import CommandParser, ConfigurationError, InvalidArgumentError, run_command
 from .execution import (
     SubprocessRunner,
     get_runner,
@@ -61,14 +60,6 @@ from .models.train import class_codes, regression_targets
 from .tables import DataColumn, ResultTable, columns_from_table
 
 __all__ = ["main", "dispatch"]
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _write_json(doc: dict, path) -> None:
@@ -392,37 +383,6 @@ def _cmd_geo(args) -> int:
     return 0
 
 
-# -- navsim worker (subprocess protocol) -----------------------------------------
-
-
-def _cmd_navsim_worker(args) -> int:
-    """Run the built-in simulator over a chunk CSV written by the controller."""
-    from .execution import DesignChunk
-    from .doe import Design
-
-    with open(args.in_csv, "r", encoding="utf-8", newline="") as fh:
-        # The first header cell, bare or quoted: the table does not keep column order.
-        first_cell = fh.readline().split(",", 1)[0].rstrip("\r\n")
-    if first_cell not in ("_index", '"_index"'):
-        raise InvalidArgumentError("chunk CSV must carry the _index column first")
-    table = ResultTable.from_csv(args.in_csv)
-    for required in ("speed", "altitude"):
-        if required not in table.columns:
-            raise InvalidArgumentError(f"chunk CSV lacks the {required!r} column")
-    chunk = DesignChunk(
-        design=Design(
-            factors=tuple(simkit.navigation_factors()),
-            columns={name: table.column(name) for name in ("speed", "altitude")},
-            seed=None,
-        ),
-        indices=table.index,
-    )
-    params = simkit.calibrate(noise_sigma=args.noise)
-    table = simkit.simulate_navigation(chunk, params, seed=args.seed)
-    table.to_csv(args.out_csv)
-    return 0
-
-
 # -- casestudy -------------------------------------------------------------------
 
 
@@ -513,9 +473,9 @@ def _cmd_casestudy(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="simfarm", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> CommandParser:
+    parser = CommandParser(prog="simfarm", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=CommandParser)
 
     p = sub.add_parser("doe", help="generate a Latin Hypercube design CSV")
     p.add_argument("--factors", required=True, help="factor-space JSON document")
@@ -529,7 +489,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_run)
 
     analyze = sub.add_parser("analyze", help="statistical analysis of a results CSV")
-    asub = analyze.add_subparsers(dest="analyze_cmd", required=True, parser_class=_Parser)
+    asub = analyze.add_subparsers(dest="analyze_cmd", required=True, parser_class=CommandParser)
 
     p = asub.add_parser("test", help="auto-selected hypothesis test over column groups")
     p.add_argument("--data", required=True)
@@ -572,7 +532,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_analyze_eda)
 
     model = sub.add_parser("model", help="surrogate model training and prediction")
-    msub = model.add_subparsers(dest="model_cmd", required=True, parser_class=_Parser)
+    msub = model.add_subparsers(dest="model_cmd", required=True, parser_class=CommandParser)
 
     p = msub.add_parser("search", help="random-search hyperparameters with k-fold CV")
     p.add_argument("--data", required=True)
@@ -613,7 +573,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_model_smote)
 
     geo = sub.add_parser("geo", help="unit conversions and coordinate transforms")
-    gsub = geo.add_subparsers(dest="geo_cmd", required=True, parser_class=_Parser)
+    gsub = geo.add_subparsers(dest="geo_cmd", required=True, parser_class=CommandParser)
 
     p = gsub.add_parser("convert", help="convert between units, e.g. 1 nm m")
     p.add_argument("value", type=float)
@@ -640,19 +600,11 @@ def build_parser() -> _Parser:
     p.add_argument("lon2", type=float)
     p.set_defaults(func=_cmd_geo)
 
-    p = sub.add_parser(
-        "navsim-worker",
-        help="run the built-in flight-fuel simulator over a chunk CSV "
-        "(the subprocess runner protocol: <in.csv> <out.csv>)",
-    )
-    p.add_argument("in_csv")
-    p.add_argument("out_csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.set_defaults(func=_cmd_navsim_worker)
+    p = sub.add_parser("navsim-worker", help=simkit.WORKER_HELP, description=simkit.WORKER_HELP)
+    simkit.add_worker_arguments(p)
 
     case = sub.add_parser("casestudy", help="built-in end-to-end case studies")
-    csub = case.add_subparsers(dest="case_cmd", required=True, parser_class=_Parser)
+    csub = case.add_subparsers(dest="case_cmd", required=True, parser_class=CommandParser)
 
     p = csub.add_parser("navigation", help="flight-fuel pipeline: design, run, analyze, plot")
     p.add_argument("--out", required=True, help="output directory")
@@ -666,21 +618,13 @@ def build_parser() -> _Parser:
 
 
 @functools.cache
-def _parser() -> _Parser:
+def _parser() -> CommandParser:
     """The parser, built on first use: a build costs milliseconds, a parse far less."""
     return build_parser()
 
 
 def dispatch(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except SimfarmError as exc:
-        print(f"simfarm: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"simfarm: error: {exc}", file=sys.stderr)
-        return 2
+    return run_command(_parser().parse_args(argv))
 
 
 def main() -> None:

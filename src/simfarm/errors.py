@@ -1,6 +1,11 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the exit codes that the
+command line maps it to: 0 success, 1 usage error, 2 data/contract error."""
 
 from __future__ import annotations
+
+import argparse
+import json
+import sys
 
 
 class SimfarmError(Exception):
@@ -61,3 +66,20 @@ class ModelFormatError(SimfarmError):
 
 class CalibrationError(SimfarmError):
     """Simulator calibration produced a singular or nonpositive solution."""
+
+
+class CommandParser(argparse.ArgumentParser):
+    """argparse with usage errors mapped to exit code 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """Call ``args.func(args)``; a data or contract error is printed and exits 2."""
+    try:
+        return args.func(args)
+    except (SimfarmError, OSError, KeyError, json.JSONDecodeError) as exc:
+        print(f"simfarm: error: {exc}", file=sys.stderr)
+        return 2

@@ -273,6 +273,8 @@ def register_runner(name: str, factory: Callable[..., Runner]) -> None:
 def get_runner(name: str, **options) -> Runner:
     """The runner ``name``'s factory builds from ``options``; options the
     factory does not take are a ConfigurationError, never silently dropped."""
+    from . import simkit  # noqa: F401  (registers the built-in ``navsim`` runner)
+
     if name not in _RUNNERS:
         raise ConfigurationError(
             f"unknown runner {name!r}; available: {sorted(_RUNNERS)}"

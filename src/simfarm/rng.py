@@ -49,14 +49,30 @@ def substream(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _splitmix64_words(z: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` of every word of a ``uint64`` array (which wraps mod 2^64)."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def first_standard_normals(seed: int, indices) -> np.ndarray:
     """``substream(seed, i).standard_normal()`` for every ``i`` in ``indices``.
 
-    Bit-identical to building each stream, but one Philox bit generator and
-    one Generator are reused: per index the state is reset to key
+    Bit-identical to building each stream, but cheaper: the key words
+    ``stream_index(i)`` come from one array pass, and one Philox bit generator
+    and one Generator are reused: per index the state is reset to key
     ``[seed, stream_index(i)]`` and counter 0, with the output buffer marked
     as used up, which is exactly the state a fresh ``Philox(key=...)`` has.
     """
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":  # e.g. Python ints outside the int64 range
+        idx = np.array([int(i) & _MASK64 for i in indices], dtype=np.uint64)
+    keys = np.empty((len(idx), 2), dtype=np.uint64)
+    keys[:, 0] = int(seed) & _MASK64
+    keys[:, 1] = _splitmix64_words(idx.astype(np.uint64))  # int64 wraps like i mod 2^64
+
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
@@ -68,10 +84,9 @@ def first_standard_normals(seed: int, indices) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    seed_word = int(seed) & _MASK64
-    out = np.empty(len(indices), dtype=np.float64)
-    for j, i in enumerate(np.asarray(indices).tolist()):
-        fresh["key"] = np.array([seed_word, stream_index(i)], dtype=np.uint64)
+    out = np.empty(len(idx), dtype=np.float64)
+    for j, key in enumerate(keys):
+        fresh["key"] = key
         bitgen.state = state
         out[j] = gen.standard_normal()
     return out

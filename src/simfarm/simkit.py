@@ -15,6 +15,9 @@ time of flight.  With ``noise_sigma = 0`` the model is fully deterministic;
 otherwise fuel is multiplied by a lognormal factor with median 1 drawn from
 the per-row stream ``(seed, design row index)``, so results do not depend on
 chunking or scheduling.
+
+``navsim_worker`` exposes the simulator through the subprocess-runner protocol
+(``simfarm navsim-worker <in.csv> <out.csv>``).
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doe import Continuous, FactorSpec
-from .errors import CalibrationError, ContractViolationError, DomainError
+from .doe import Continuous, Design, FactorSpec
+from .errors import CalibrationError, ContractViolationError, DomainError, InvalidArgumentError
 from .execution import DesignChunk, register_runner
 from .rng import first_standard_normals
 from .tables import ResultTable
@@ -41,6 +44,9 @@ __all__ = [
     "simulate_navigation",
     "navigation_factors",
     "navsim_runner",
+    "WORKER_HELP",
+    "add_worker_arguments",
+    "navsim_worker",
 ]
 
 SPEED_RANGE_KT = (350.0, 550.0)
@@ -173,3 +179,44 @@ def navsim_runner(params: FuelModelParams | None = None, seed: int = 0):
 
 
 register_runner("navsim", navsim_runner)
+
+
+# -- navsim worker (subprocess protocol) -----------------------------------------
+
+WORKER_HELP = (
+    "run the built-in flight-fuel simulator over a chunk CSV "
+    "(the subprocess runner protocol: <in.csv> <out.csv>)"
+)
+
+
+def add_worker_arguments(parser) -> None:
+    """The ``navsim-worker`` arguments, calling :func:`navsim_worker`."""
+    parser.add_argument("in_csv")
+    parser.add_argument("out_csv")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--noise", type=float, default=0.0)
+    parser.set_defaults(func=navsim_worker)
+
+
+def navsim_worker(args) -> int:
+    """Run the built-in simulator over a chunk CSV written by the controller."""
+    with open(args.in_csv, "r", encoding="utf-8", newline="") as fh:
+        # The first header cell, bare or quoted: the table does not keep column order.
+        first_cell = fh.readline().split(",", 1)[0].rstrip("\r\n")
+    if first_cell not in ("_index", '"_index"'):
+        raise InvalidArgumentError("chunk CSV must carry the _index column first")
+    table = ResultTable.from_csv(args.in_csv)
+    for required in ("speed", "altitude"):
+        if required not in table.columns:
+            raise InvalidArgumentError(f"chunk CSV lacks the {required!r} column")
+    chunk = DesignChunk(
+        design=Design(
+            factors=tuple(navigation_factors()),
+            columns={name: table.column(name) for name in ("speed", "altitude")},
+            seed=None,
+        ),
+        indices=table.index,
+    )
+    params = calibrate(noise_sigma=args.noise)
+    simulate_navigation(chunk, params, seed=args.seed).to_csv(args.out_csv)
+    return 0

@@ -419,6 +419,12 @@ class TestNavsimWorker:
         chunk.write_text(text)
         assert run_cli("navsim-worker", str(chunk), str(tmp_path / "out.csv")) == 2
         assert message in capsys.readouterr().err
+        # the same through the light worker entry of ``python -m simfarm``
+        cmd = [sys.executable, "-m", "simfarm", "navsim-worker", str(chunk), str(tmp_path / "o.csv")]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("simfarm: error: chunk CSV ")
+        assert message in proc.stderr
 
 
 class TestCaseStudyCommand:

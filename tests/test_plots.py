@@ -1,8 +1,13 @@
+import os
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import simfarm
 from simfarm.analysis import plots
 from simfarm.analysis.plots import emit_plot, render_scatter
 from simfarm.errors import InvalidArgumentError
@@ -144,3 +149,37 @@ class TestDeterminismAndErrors:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             emit_plot([1.0], "sparkline", tmp_path / "x.svg")
+
+
+def _limit_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestNiceTicks:
+    def test_ordinary_ranges(self):
+        assert plots._nice_ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+        assert plots._nice_ticks(-3.0, 7.0) == [-2.0, 0.0, 2.0, 4.0, 6.0]
+        assert plots._nice_ticks(5.0, 5.0) == [5.0]
+
+    # A loop that never ends would grow memory without bound, so the calls run
+    # in a child process with an address-space cap and a timeout.
+    def test_range_a_few_ulps_wide_terminates(self, tmp_path):
+        code = (
+            "import numpy as np\n"
+            "from simfarm.analysis.plots import _nice_ticks, emit_plot\n"
+            "print(len(_nice_ticks(2.0, 2.0000000000000004)))\n"
+            "print(len(_nice_ticks(1e300, np.nextafter(1e300, np.inf))))\n"
+            f"emit_plot([2.0, 2.0000000000000004], 'histogram', {str(tmp_path / 'h.svg')!r})\n"
+        )
+        src = os.path.dirname(os.path.dirname(simfarm.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_limit_child_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+        assert (tmp_path / "h.svg").exists()
