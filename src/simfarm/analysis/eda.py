@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InvalidArgumentError
+from ..errors import DomainError, InvalidArgumentError
 from ..tables import DataColumn
 from .features import pearson_r
 from .outliers import detect_outliers
@@ -146,6 +146,12 @@ def eda_summary(table: list[DataColumn]) -> EdaReport:
         if n == 0:
             numeric.append(NumericSummary(name=col.name, count=0))
             continue
+        lo, hi = float(x.min()), float(x.max())
+        if not math.isfinite(hi - lo):
+            raise DomainError(
+                f"numeric column {col.name!r}: its range {lo!r} to {hi!r} overflows a "
+                "double, so it cannot be binned; rescale the column"
+            )
         bins = fd_bin_count(x)
         counts, edges = np.histogram(x, bins=bins)
         outliers = 0

@@ -63,6 +63,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         if t + step == t:  # a range a few ulps wide: the step no longer moves t
             break
         t += step
+    if ticks and ticks[0] < lo:
+        # ceil(lo / step) * step rounds below lo only on a range a few ulps wide.
+        ticks[0] = lo
     return ticks
 
 

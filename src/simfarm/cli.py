@@ -28,8 +28,23 @@ from .analysis import (
     run_hypothesis_test,
 )
 from .analysis.features import pearson_r
-from .doe import lhs_design, load_factors, write_design
-from .errors import CommandParser, ConfigurationError, InvalidArgumentError, run_command
+from .doe import (
+    Boolean,
+    Design,
+    Integer,
+    factor_cells,
+    lhs_design,
+    load_factors,
+    write_design,
+    write_design_block,
+)
+from .errors import (
+    CommandParser,
+    ConfigurationError,
+    ContractViolationError,
+    InvalidArgumentError,
+    run_command,
+)
 from .execution import (
     SubprocessRunner,
     get_runner,
@@ -57,7 +72,21 @@ from .models import (
 from .models.preprocess import fit_preprocessor
 from .models.spec import FAMILIES as MODEL_FAMILIES
 from .models.train import class_codes, regression_targets
-from .tables import DataColumn, ResultTable, columns_from_table
+from .tables import (
+    CSV_BLOCK_ROWS,
+    RESERVED_INDEX,
+    RESERVED_STATUS,
+    STATUS_FAILED,
+    STATUS_OK,
+    DataColumn,
+    ResultTable,
+    column_cells,
+    columns_from_table,
+    float_cells,
+    formatted,
+    header_line,
+    write_block,
+)
 
 __all__ = ["main", "dispatch"]
 
@@ -126,13 +155,53 @@ def _load_experiment(path) -> dict:
     return cfg
 
 
-def _joined_table(design, results: ResultTable) -> ResultTable:
-    """Design inputs joined with result outputs for the executed rows."""
-    columns = {
-        f.name: design.column(f.name)[results.index] for f in design.factors
-    }
-    columns.update(results.columns)
-    return ResultTable(index=results.index, status=results.status, columns=columns)
+def _write_campaign_csvs(design: Design, results: ResultTable, out_dir: Path) -> None:
+    """Write ``design.csv``, ``results.csv`` and ``joined.csv`` in one pass.
+
+    ``joined.csv`` holds the executed design rows beside their results,
+    exactly as :meth:`ResultTable.to_csv` writes the table of both: a result
+    column named like a factor takes that factor's place, and Integer and
+    Boolean factors are floats there (Boolean ``1``/``0``) where the design
+    CSV writes ``%d`` and ``true``/``false``.  A block of ``CSV_BLOCK_ROWS``
+    design rows is formatted to cell strings once; a cell both files spell
+    alike (Continuous and Categorical factors, every result column) is
+    formatted once and written to both.
+    """
+    k = results.n_rows
+    # run_batches runs consecutive chunks from row 0, and pins each chunk's index.
+    if not np.array_equal(results.index, np.arange(k)):
+        raise ContractViolationError("executed rows are not a prefix of the design")
+    factor_names = [f.name for f in design.factors]
+    joined_names = dict.fromkeys([*factor_names, *results.columns])
+    with (
+        open(out_dir / "design.csv", "w", encoding="utf-8", newline="") as fd,
+        open(out_dir / "results.csv", "w", encoding="utf-8", newline="") as fr,
+        open(out_dir / "joined.csv", "w", encoding="utf-8", newline="") as fj,
+    ):
+        fd.write(header_line(factor_names))
+        fr.write(header_line([RESERVED_INDEX, RESERVED_STATUS, *results.columns]))
+        fj.write(header_line([RESERVED_INDEX, RESERVED_STATUS, *joined_names]))
+        for lo in range(0, design.n, CSV_BLOCK_ROWS):
+            ran = slice(lo, min(lo + CSV_BLOCK_ROWS, k))  # executed rows; empty past k
+            design_cols, joined_cols = [], {}
+            for f in design.factors:
+                values = design.columns[f.name]
+                cells = formatted(factor_cells(f.kind, values[lo : lo + CSV_BLOCK_ROWS]))
+                design_cols.append(cells)
+                if isinstance(f.kind, (Integer, Boolean)):  # float64 in a ResultTable
+                    cells = float_cells(values[ran].astype(np.float64))
+                joined_cols[f.name] = cells
+            result_cols = {
+                name: formatted(column_cells(arr[ran])) for name, arr in results.columns.items()
+            }
+            joined_cols.update(result_cols)
+            index = ("%d", list(range(ran.start, ran.stop)))
+            status = ("%s", np.where(results.status[ran], STATUS_OK, STATUS_FAILED).tolist())
+
+            write_design_block(fd, design_cols)
+            # write_block stops at the executed rows, where the design cells run on.
+            write_block(fr, [index, status, *result_cols.values()])
+            write_block(fj, [index, status, *joined_cols.values()])
 
 
 def _cmd_run(args) -> int:
@@ -160,9 +229,7 @@ def _cmd_run(args) -> int:
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_design(design, out_dir / "design.csv")
-    results.to_csv(out_dir / "results.csv")
-    _joined_table(design, results).to_csv(out_dir / "joined.csv")
+    _write_campaign_csvs(design, results, out_dir)
     _write_json(report.to_dict(), out_dir / "report.json")
     print(
         f"executed {report.rows_executed} rows in {report.chunks_executed} chunks "
@@ -395,9 +462,7 @@ def _cmd_casestudy(args) -> int:
     runner = simkit.navsim_runner(params=params, seed=args.seed)
     results, report = run_batches(design, runner, None, args.chunk_size)
 
-    write_design(design, out_dir / "design.csv")
-    results.to_csv(out_dir / "results.csv")
-    _joined_table(design, results).to_csv(out_dir / "joined.csv")
+    _write_campaign_csvs(design, results, out_dir)
     _write_json(report.to_dict(), out_dir / "execution_report.json")
 
     tof = results.column("time_of_flight")

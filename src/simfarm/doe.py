@@ -34,6 +34,8 @@ __all__ = [
     "validate_design",
     "write_design",
     "write_design_rows",
+    "write_design_block",
+    "factor_cells",
     "read_design",
     "load_factors",
     "dump_factors",
@@ -227,7 +229,7 @@ def validate_design(design: Design) -> DesignValidation:
 # -- serialization -----------------------------------------------------------
 
 
-def _format_cells(kind: FactorKind, values: np.ndarray) -> tuple[str, list]:
+def factor_cells(kind: FactorKind, values: np.ndarray) -> tuple[str, list]:
     """One factor's block of values as ``(conversion, values)`` for ``write_block``."""
     if isinstance(kind, Continuous):
         return float_cells(values)
@@ -238,6 +240,14 @@ def _format_cells(kind: FactorKind, values: np.ndarray) -> tuple[str, list]:
     return "%s", [quote_cell(str(v)) for v in values]
 
 
+def write_design_block(fh, columns: Sequence[tuple[str, list]]) -> None:
+    """:func:`~simfarm.tables.write_block` for design CSV rows."""
+    if len(columns) == 1 and columns[0][0] == "%s":
+        # A lone empty cell is quoted, or it would read back as a blank line.
+        columns = [("%s", [c or '""' for c in columns[0][1]])]
+    write_block(fh, columns)
+
+
 def write_design_rows(fh, design: Design, index: np.ndarray | None = None) -> None:
     """Write ``design``'s rows to the text file ``fh``, each prefixed by ``index`` if given.
 
@@ -245,13 +255,10 @@ def write_design_rows(fh, design: Design, index: np.ndarray | None = None) -> No
     """
     for lo in range(0, design.n, CSV_BLOCK_ROWS):
         block = slice(lo, lo + CSV_BLOCK_ROWS)
-        cols = [_format_cells(f.kind, design.columns[f.name][block]) for f in design.factors]
+        cols = [factor_cells(f.kind, design.columns[f.name][block]) for f in design.factors]
         if index is not None:
             cols.insert(0, ("%d", index[block].tolist()))
-        if len(cols) == 1 and cols[0][0] == "%s":
-            # A lone empty cell is quoted, or it would read back as a blank line.
-            cols = [("%s", [c or '""' for c in cols[0][1]])]
-        write_block(fh, cols)
+        write_design_block(fh, cols)
 
 
 def write_design(design: Design, path) -> None:

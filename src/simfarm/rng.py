@@ -75,17 +75,19 @@ def first_standard_normals(seed: int, indices) -> np.ndarray:
 
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    fresh = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    # Python ints: the state setter converts word by word, and NumPy scalars
+    # make each conversion several times slower.
+    fresh = {"counter": [0, 0, 0, 0], "key": None}
     state = {
         "bit_generator": "Philox",
         "state": fresh,
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # buffer used up: the first draw computes a new block
         "has_uint32": 0,
         "uinteger": 0,
     }
     out = np.empty(len(idx), dtype=np.float64)
-    for j, key in enumerate(keys):
+    for j, key in enumerate(keys.tolist()):
         fresh["key"] = key
         bitgen.state = state
         out[j] = gen.standard_normal()

@@ -43,6 +43,8 @@ __all__ = [
     "format_float",
     "format_floats",
     "float_cells",
+    "column_cells",
+    "formatted",
     "quote_cell",
     "header_line",
     "write_block",
@@ -83,6 +85,28 @@ def float_cells(values: np.ndarray) -> tuple[str, list]:
     if np.isnan(values).any():
         return "%s", format_floats(values)
     return "%.17g", values.tolist()
+
+
+def column_cells(values: np.ndarray) -> tuple[str, list]:
+    """A block of a :class:`ResultTable` column as ``(conversion, values)``.
+
+    Floats as by :func:`float_cells`; any other value as its quoted ``str``,
+    with ``None`` written as an empty cell.
+    """
+    if values.dtype.kind == "f":
+        return float_cells(values)
+    return "%s", [quote_cell("" if v is None else str(v)) for v in values]
+
+
+def formatted(cells: tuple[str, list]) -> tuple[str, list[str]]:
+    """A ``(conversion, values)`` block with every value formatted, as ``("%s", cells)``.
+
+    A block formatted once this way can be written to several files.
+    """
+    conversion, values = cells
+    if conversion == "%s":
+        return cells
+    return "%s", list(map(conversion.__mod__, values))
 
 
 def quote_cell(cell: str) -> str:
@@ -131,7 +155,10 @@ class ResultTable:
         n = len(self.index)
         if len(self.status) != n:
             raise InvalidArgumentError("status length does not match index length")
-        if len(np.unique(self.index)) != n:
+        # A sort and a neighbour test: several times cheaper than np.unique,
+        # which hashes, on the chunk-sized tables a run builds per chunk.
+        ordered = np.sort(self.index)
+        if (ordered[1:] == ordered[:-1]).any():
             raise InvalidArgumentError("index values must be unique")
         cleaned = {}
         for name, values in self.columns.items():
@@ -204,13 +231,7 @@ class ResultTable:
             block = slice(lo, lo + CSV_BLOCK_ROWS)
             status = np.where(self.status[block], STATUS_OK, STATUS_FAILED)
             cols = [("%d", self.index[block].tolist()), ("%s", status.tolist())]
-            for arr in self.columns.values():
-                if arr.dtype.kind == "f":
-                    cols.append(float_cells(arr[block]))
-                else:
-                    cols.append(
-                        ("%s", [quote_cell("" if v is None else str(v)) for v in arr[block]])
-                    )
+            cols.extend(column_cells(arr[block]) for arr in self.columns.values())
             write_block(fh, cols)
 
     @classmethod

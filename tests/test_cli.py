@@ -193,6 +193,24 @@ class TestAnalyzeCommands:
         assert (svg_dir / "hist_a.svg").exists()
         assert (svg_dir / "pearson_heatmap.svg").exists()
 
+    @pytest.mark.parametrize("values", [
+        [1.7e308, -1.7e308],
+        [1.7e308, -1.7e308, 1.0, 2.0, 3.0, 1.7e308],
+        [1e308, -1e308, 0.5],
+    ])
+    def test_eda_of_a_column_whose_range_overflows_is_exit_2(self, tmp_path, capsys, values):
+        data = tmp_path / "wide.csv"
+        n = len(values)
+        ResultTable(
+            index=np.arange(n), status=np.ones(n, dtype=bool),
+            columns={"fine": np.arange(n, dtype=float), "wide": np.array(values)},
+        ).to_csv(data)
+        assert run_cli("analyze", "eda", "--data", str(data), "--out", str(tmp_path / "e.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simfarm: error: numeric column 'wide':") and "overflows" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "e.json").exists()
+
     def test_unknown_column_is_exit_2(self, results_csv):
         assert run_cli(
             "analyze", "outliers", "--data", str(results_csv), "--column", "zzz"

@@ -1,10 +1,13 @@
-"""The block CSV writers against the csv-module, per-cell writers they replaced."""
+"""The block CSV writers against the csv-module, per-cell writers they replaced,
+and the one-pass campaign writer against the three separate writers it replaced."""
 
 import csv
 import io
 
 import numpy as np
+import pytest
 
+from simfarm.cli import _write_campaign_csvs
 from simfarm.doe import (
     Boolean,
     Categorical,
@@ -15,7 +18,8 @@ from simfarm.doe import (
     lhs_design,
     write_design,
 )
-from simfarm.execution import DesignChunk, SubprocessRunner
+from simfarm.errors import ContractViolationError
+from simfarm.execution import DesignChunk, SubprocessRunner, run_batches
 from simfarm.tables import CSV_BLOCK_ROWS, ResultTable, format_float
 
 N = 2 * CSV_BLOCK_ROWS + 123  # two full blocks and a short one
@@ -165,3 +169,124 @@ def test_percent_g_matches_format_on_random_doubles():
     x = np.concatenate([x[~np.isnan(x)], EDGE_FLOATS, [2.0**-1074, 2.0**-1022 * 0.5]])
     values = x.tolist()
     assert ["%.17g" % v for v in values] == [format(v, ".17g") for v in values]
+
+
+# -- the one-pass campaign writer of ``simfarm run`` and ``casestudy`` -------------
+
+
+def three_writer_csvs(design: Design, results: ResultTable, out) -> None:
+    """design.csv, results.csv and joined.csv as three separate writers make them."""
+    write_design(design, out / "design.csv")
+    results.to_csv(out / "results.csv")
+    columns = {f.name: design.column(f.name)[results.index] for f in design.factors}
+    columns.update(results.columns)
+    joined = ResultTable(index=results.index, status=results.status, columns=columns)
+    joined.to_csv(out / "joined.csv")
+
+
+def assert_one_pass_matches_three_writers(tmp_path, design, results):
+    one, three = tmp_path / "one", tmp_path / "three"
+    one.mkdir()
+    three.mkdir()
+    _write_campaign_csvs(design, results, one)
+    three_writer_csvs(design, results, three)
+    for name in ("design.csv", "results.csv", "joined.csv"):
+        assert (one / name).read_bytes() == (three / name).read_bytes(), name
+
+
+def campaign_factors():
+    return [
+        FactorSpec("x", Continuous(-1e-300, 1e300)),
+        FactorSpec("k", Integer(-5, 2**62)),  # past 2^53: %.17g and %d spell it apart
+        FactorSpec("mode", Categorical(LEVELS)),
+        FactorSpec("armed", Boolean()),
+    ]
+
+
+def mixed_runner(failed_chunk_start=None, echo=()):
+    """Rows with index % 7 == 3 fail with empty cells; the chunk starting at
+    ``failed_chunk_start`` comes back column-less and all failed, as from a
+    failed external command; ``echo`` names factors returned as result columns."""
+
+    def run(chunk: DesignChunk) -> ResultTable:
+        if chunk.indices[0] == failed_chunk_start:
+            return ResultTable(index=chunk.indices, status=np.zeros(chunk.n, dtype=bool))
+        ok = chunk.indices % 7 != 3
+        y = np.where(ok, chunk.indices * np.pi, np.nan)
+        label = np.array([LEVELS[i % len(LEVELS)] for i in chunk.indices], dtype=object)
+        label[~ok] = None
+        columns = {"y": y, "label": label}
+        columns.update({name: chunk.column(name) * 0.5 for name in echo})
+        return ResultTable(index=chunk.indices, status=ok, columns=columns)
+
+    return run
+
+
+def stop_after(rows: int):
+    return lambda chunk: chunk.index[-1] + 1 >= rows
+
+
+class TestCampaignCsvs:
+    def test_early_stop_past_a_block_boundary(self, tmp_path):
+        design = lhs_design(campaign_factors(), N, seed=3)
+        results, report = run_batches(design, mixed_runner(), stop_after(5000), 1000)
+        assert report.rows_executed == 5000 and CSV_BLOCK_ROWS < 5000 < N
+        assert_one_pass_matches_three_writers(tmp_path, design, results)
+
+    @pytest.mark.parametrize("n", [1, 2, CSV_BLOCK_ROWS + 1])
+    def test_whole_design_of_odd_sizes(self, tmp_path, n):
+        design = lhs_design(campaign_factors(), n, seed=4)
+        results, _ = run_batches(design, mixed_runner(), None, 333)
+        assert_one_pass_matches_three_writers(tmp_path, design, results)
+
+    def test_stop_exactly_at_a_block_boundary(self, tmp_path):
+        design = lhs_design(campaign_factors(), N, seed=5)
+        results, _ = run_batches(design, mixed_runner(), stop_after(CSV_BLOCK_ROWS), 1024)
+        assert results.n_rows == CSV_BLOCK_ROWS
+        assert_one_pass_matches_three_writers(tmp_path, design, results)
+
+    def test_failed_chunk_is_written_with_empty_cells(self, tmp_path):
+        design = lhs_design(campaign_factors(), 3000, seed=6)
+        results, _ = run_batches(design, mixed_runner(failed_chunk_start=500), None, 500)
+        assert not results.status[500:1000].any()
+        assert np.isnan(results.column("y")[500:1000]).all()
+        assert_one_pass_matches_three_writers(tmp_path, design, results)
+        assert "\n500,failed,,\n" in (tmp_path / "one" / "results.csv").read_text()
+
+    def test_every_chunk_failed_leaves_no_result_columns(self, tmp_path):
+        design = lhs_design(campaign_factors(), 30, seed=6)
+        results, _ = run_batches(design, mixed_runner(failed_chunk_start=0), stop_after(10), 10)
+        assert results.column_names == [] and results.n_rows == 10
+        assert_one_pass_matches_three_writers(tmp_path, design, results)
+
+    def test_result_column_named_like_a_factor_takes_its_place(self, tmp_path):
+        design = lhs_design(campaign_factors(), 500, seed=8)
+        results, _ = run_batches(design, mixed_runner(echo=("x",)), stop_after(300), 100)
+        assert_one_pass_matches_three_writers(tmp_path, design, results)
+        header = (tmp_path / "one" / "joined.csv").read_text().split("\n", 1)[0]
+        assert header == "_index,_status,x,k,mode,armed,y,label"
+
+    def test_single_categorical_factor_with_empty_and_quoted_levels(self, tmp_path):
+        design = lhs_design([FactorSpec("mode", Categorical(LEVELS))], 50, seed=9)
+        results, _ = run_batches(design, mixed_runner(), stop_after(20), 10)
+        assert_one_pass_matches_three_writers(tmp_path, design, results)
+        lines = (tmp_path / "one" / "design.csv").read_text().split("\n")
+        assert '""' in lines and '"a,b"' in lines and '"say ""hi"""' in lines
+
+    def test_numeric_factors_are_floats_in_joined_csv(self, tmp_path):
+        factors = [FactorSpec("k", Integer(2**60, 2**61)), FactorSpec("armed", Boolean())]
+        design = lhs_design(factors, 4, seed=1)
+        results, _ = run_batches(design, mixed_runner(), None, 4)
+        _write_campaign_csvs(design, results, tmp_path)
+        design_row = (tmp_path / "design.csv").read_text().split("\n")[1].split(",")
+        joined_row = (tmp_path / "joined.csv").read_text().split("\n")[1].split(",")
+        k, armed = design.column("k")[0], design.column("armed")[0]
+        assert design_row == [str(k), "true" if armed else "false"]
+        assert joined_row[2:4] == ["%.17g" % float(k), "1" if armed else "0"]
+
+    def test_rows_that_are_not_a_design_prefix_are_refused(self, tmp_path):
+        design = lhs_design(campaign_factors(), 20, seed=2)
+        for index in ([1, 2, 3], [0, 2, 3], [2, 1, 0]):
+            results = ResultTable(index=np.array(index), status=np.ones(3, dtype=bool))
+            with pytest.raises(ContractViolationError, match="prefix"):
+                _write_campaign_csvs(design, results, tmp_path)

@@ -113,3 +113,14 @@ class TestContracts:
         doc = report.to_dict()
         assert doc["schema_version"] == 1
         assert doc["numeric"][0]["histogram"]["counts"]
+
+
+def test_range_that_overflows_is_a_domain_error_naming_the_column():
+    from simfarm.errors import DomainError
+
+    fine = DataColumn.numeric("fine", [0.0, 1.0, 2.0])
+    for values in ([1.7e308, -1.7e308, 0.0], [1e308, -1e308, 0.5]):
+        with pytest.raises(DomainError, match="numeric column 'wide'.*overflows"):
+            eda_summary([fine, DataColumn.numeric("wide", values)])
+    report = eda_summary([DataColumn.numeric("wide", [1e150, -1e150, 0.5])])
+    assert report.numeric[0].min == -1e150 and sum(report.numeric[0].bin_counts) == 3

@@ -161,6 +161,31 @@ class TestNiceTicks:
         assert plots._nice_ticks(-3.0, 7.0) == [-2.0, 0.0, 2.0, 4.0, 6.0]
         assert plots._nice_ticks(5.0, 5.0) == [5.0]
 
+    ULP_RANGE_STARTS = (2.0, 1.0, 0.1, -3.7, 123456.789, 1e300, -1e300, 1e-300, 7e15)
+
+    def test_ticks_of_a_range_a_few_ulps_wide_stay_inside_it(self):
+        for lo in self.ULP_RANGE_STARTS:
+            hi = lo
+            for _ in range(12):
+                hi = float(np.nextafter(hi, np.inf))
+                ticks = plots._nice_ticks(lo, hi)
+                assert ticks and all(lo <= t <= hi for t in ticks), (lo, hi, ticks)
+        assert plots._nice_ticks(2.0, 2.0000000000000004) == [2.0]
+
+    def test_histogram_ticks_of_a_few_ulps_wide_sample_lie_on_the_axis(self):
+        x0, x1 = plots._MARGIN_L, plots._WIDTH - plots._MARGIN_R
+        tick_y2 = str(plots._HEIGHT - plots._MARGIN_B + 5)
+        for lo in self.ULP_RANGE_STARTS:
+            hi = lo
+            for _ in range(6):
+                hi = float(np.nextafter(hi, np.inf))
+                svg = plots.render_histogram([lo, hi], "h", "x")
+                ticks = [el for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}line")
+                         if el.get("y2") == tick_y2]
+                assert ticks
+                for el in ticks:
+                    assert x0 <= float(el.get("x1")) <= x1, (lo, hi, el.attrib)
+
     # A loop that never ends would grow memory without bound, so the calls run
     # in a child process with an address-space cap and a timeout.
     def test_range_a_few_ulps_wide_terminates(self, tmp_path):

@@ -37,6 +37,23 @@ class TestResultTable:
         with pytest.raises(InvalidArgumentError):
             ResultTable(index=np.array([0, 0]), status=np.array([True, True]))
 
+    @pytest.mark.parametrize("index", [[0, 0], [5, 3, 9, 3], [7, 1, 2, 3, 4, 5, 6, 7],
+                                       [-(2**63), 2**63 - 1, -(2**63)]])
+    def test_duplicate_anywhere_in_an_unsorted_index_rejected_with_its_message(self, index):
+        with pytest.raises(InvalidArgumentError, match="^index values must be unique$"):
+            ResultTable(index=np.array(index, dtype=np.int64), status=np.ones(len(index), bool))
+
+    def test_tables_of_zero_and_one_row_build(self):
+        for index in ([], [3], [-(2**63)]):
+            table = ResultTable(
+                index=np.array(index, dtype=np.int64),
+                status=np.ones(len(index), dtype=bool),
+                columns={"y": np.zeros(len(index))},
+            )
+            assert table.n_rows == len(index)
+        shuffled = np.random.default_rng(0).permutation(1000)
+        assert ResultTable(index=shuffled, status=np.ones(1000, bool)).n_rows == 1000
+
     def test_unknown_status_rejected(self):
         # Status is a bool array; the CSV spellings and other dtypes are refused.
         for status in (np.array(["ok"], dtype=object), np.array(["ok"]), np.array([1]), [1.0]):
