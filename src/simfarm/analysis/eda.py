@@ -1,10 +1,10 @@
 """Exploratory summaries: five-number stats, histograms, class balance,
 correlation and association matrices.
 
-Histogram bin counts follow the Freedman-Diaconis rule floored at one bin;
-boxplot-style outlier counts use the same iqr(1.5) fences as
-:func:`simfarm.analysis.outliers.detect_outliers`.  Pairwise statistics drop
-rows where either column is missing.
+Histogram bin counts follow the Freedman-Diaconis rule, floored at one bin and
+capped at one bin per value; boxplot-style outlier counts use the same
+iqr(1.5) fences as :func:`simfarm.analysis.outliers.detect_outliers`.
+Pairwise statistics drop rows where either column is missing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = ["NumericSummary", "CategoricalSummary", "EdaReport", "eda_summary", "
 
 
 def fd_bin_count(x: np.ndarray) -> int:
-    """Freedman-Diaconis bin count, floored at 1."""
+    """Freedman-Diaconis bin count, floored at 1 and capped at ``n``, one bin per value."""
     n = len(x)
     if n < 2:
         return 1
@@ -33,6 +33,8 @@ def fd_bin_count(x: np.ndarray) -> int:
     if iqr == 0.0 or span == 0.0:
         return 1
     width = 2.0 * iqr * n ** (-1.0 / 3.0)
+    if span >= n * width:  # also where width is 0 or span / width would overflow
+        return n
     return max(1, math.ceil(span / width))
 
 

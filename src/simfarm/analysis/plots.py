@@ -10,6 +10,7 @@ which also makes the outputs easy to assert on.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -53,6 +54,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         return [lo]
     span = hi - lo
     raw = span / max(1, target)
+    if raw < sys.float_info.min:  # a subnormal step has no usable power of ten
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((m for m in (1.0, 2.0, 5.0, 10.0)), key=lambda m: abs(m * mag - raw)) * mag
     first = math.ceil(lo / step) * step

@@ -370,8 +370,6 @@ def _cmd_model_train(args) -> int:
     columns = _load_columns(args.data)
     features, y, class_labels = _split_features_target(columns, args.target, args.task)
     params = json.loads(args.params) if args.params else {}
-    if "hidden" in params:
-        params["hidden"] = tuple(params["hidden"])
     prep = fit_preprocessor(PreprocessorSpec.default_for(features), features)
     matrix = prep.transform(features).matrix
     spec = ModelSpec(family=args.family, task=args.task, params=params)
@@ -499,23 +497,17 @@ def _cmd_casestudy(args) -> int:
         xlabel="time of flight [s]",
         ylabel="fuel consumed [lb]",
     )
-    speed = design.column("speed")
-    altitude = design.column("altitude")
     bins = 24
-    sums = np.zeros((bins, bins))
-    counts = np.zeros((bins, bins))
-    si = np.clip(
-        ((speed - simkit.SPEED_RANGE_KT[0])
-         / (simkit.SPEED_RANGE_KT[1] - simkit.SPEED_RANGE_KT[0]) * bins).astype(int),
-        0, bins - 1,
-    )
-    ai = np.clip(
-        ((altitude - simkit.ALTITUDE_RANGE_FT[0])
-         / (simkit.ALTITUDE_RANGE_FT[1] - simkit.ALTITUDE_RANGE_FT[0]) * bins).astype(int),
-        0, bins - 1,
-    )
-    np.add.at(sums, (ai, si), fuel)
-    np.add.at(counts, (ai, si), 1)
+
+    def axis_bin(name: str, lo: float, hi: float) -> np.ndarray:
+        return np.clip(((design.column(name) - lo) / (hi - lo) * bins).astype(int), 0, bins - 1)
+
+    # each row's cell of the row-major (altitude, speed) grid
+    cell = axis_bin("altitude", *simkit.ALTITUDE_RANGE_FT) * bins + axis_bin(
+        "speed", *simkit.SPEED_RANGE_KT)
+    # bincount adds in row order, so each cell's sum is a sequential one
+    sums = np.bincount(cell, weights=fuel, minlength=bins * bins).reshape(bins, bins)
+    counts = np.bincount(cell, minlength=bins * bins).reshape(bins, bins)
     with np.errstate(invalid="ignore"):
         grid = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     emit_plot(

@@ -19,8 +19,6 @@ __all__ = ["RandomForest"]
 
 
 class RandomForest:
-    family = "random_forest"
-
     def __init__(
         self,
         n_trees: int = 30,

@@ -15,16 +15,17 @@ __all__ = ["RidgeRegressor"]
 
 
 class RidgeRegressor:
-    family = "linear_ridge"
-
-    def __init__(self, lam: float = 0.0):
+    def __init__(self, lam: float = 0.0, task: str = "regression"):
+        if task != "regression":
+            raise TrainingError("linear_ridge supports regression only")
         if lam < 0:
             raise TrainingError(f"ridge penalty must be >= 0, got {lam}")
         self.lam = float(lam)
         self.coef_: np.ndarray | None = None
         self.intercept_: float | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RidgeRegressor":
+    def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "RidgeRegressor":
+        """Solve for the coefficients; the fit is deterministic, so ``seed`` is ignored."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         if X.ndim != 2 or len(X) != len(y):

@@ -67,8 +67,6 @@ def _backward_pass(task: str, acts: list[np.ndarray], target: np.ndarray, weight
 
 
 class MlpModel:
-    family = "mlp"
-
     def __init__(
         self,
         hidden=(16,),

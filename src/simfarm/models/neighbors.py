@@ -17,8 +17,6 @@ _BLOCK = 1 << 20
 
 
 class KnnModel:
-    family = "knn"
-
     def __init__(self, k: int = 5, task: str = "regression"):
         if k < 1:
             raise TrainingError(f"k must be >= 1, got {k}")
@@ -28,7 +26,8 @@ class KnnModel:
         self._y: np.ndarray | None = None
         self.classes_: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnModel":
+    def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "KnnModel":
+        """Store the training rows; the fit is deterministic, so ``seed`` is ignored."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         if len(X) < 2:

@@ -4,7 +4,8 @@ A :class:`ModelSpec` fixes a family and task and maps hyperparameter names to
 either concrete values or sampling ranges (:class:`FloatRange`,
 :class:`IntRange`, :class:`Choice`).  ``random_search_cv`` samples ranges
 uniformly (log-uniformly when flagged); ``train`` requires every
-hyperparameter to be fixed.
+hyperparameter to be fixed.  ``_TABLE`` holds each family's model class,
+default search space (its keys are the allowed hyperparameters) and tasks.
 """
 
 from __future__ import annotations
@@ -15,9 +16,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import ModelSpecError
+from .forest import RandomForest
+from .linear import RidgeRegressor
+from .mlp import MlpModel
+from .neighbors import KnnModel
+from .tree import CartTree
 
 __all__ = [
     "FAMILIES",
+    "MODEL_CLASSES",
     "TASKS",
     "FloatRange",
     "IntRange",
@@ -27,7 +34,6 @@ __all__ = [
     "sample_params",
 ]
 
-FAMILIES = ("linear_ridge", "knn", "cart_tree", "random_forest", "mlp")
 TASKS = ("regression", "classification")
 
 
@@ -80,13 +86,34 @@ class Choice:
         return self.options[int(rng.integers(0, len(self.options)))]
 
 
-_PARAM_NAMES = {
-    "linear_ridge": {"lam"},
-    "knn": {"k"},
-    "cart_tree": {"max_depth", "min_leaf"},
-    "random_forest": {"n_trees", "max_depth", "min_leaf", "feature_fraction", "bootstrap"},
-    "mlp": {"hidden", "learning_rate", "epochs", "batch_size"},
+@dataclass(frozen=True)
+class _Family:
+    model: type
+    space: dict  # the default search space; its keys are the allowed hyperparameters
+    tasks: tuple = TASKS
+
+
+_TABLE = {
+    "linear_ridge": _Family(RidgeRegressor, {"lam": FloatRange(1e-6, 1e2, log=True)},
+                            tasks=("regression",)),
+    "knn": _Family(KnnModel, {"k": IntRange(1, 25)}),
+    "cart_tree": _Family(CartTree, {"max_depth": IntRange(2, 12), "min_leaf": IntRange(1, 10)}),
+    "random_forest": _Family(RandomForest, {
+        "n_trees": IntRange(10, 60),
+        "max_depth": IntRange(2, 12),
+        "min_leaf": IntRange(1, 10),
+        "feature_fraction": FloatRange(0.3, 1.0),
+        "bootstrap": True,
+    }),
+    "mlp": _Family(MlpModel, {
+        "hidden": Choice(((8,), (16,), (32,), (16, 16), (32, 16))),
+        "learning_rate": FloatRange(1e-3, 1e-1, log=True),
+        "epochs": IntRange(50, 300),
+        "batch_size": Choice((16, 32, 64)),
+    }),
 }
+FAMILIES = tuple(_TABLE)
+MODEL_CLASSES = {name: family.model for name, family in _TABLE.items()}
 
 
 @dataclass
@@ -100,13 +127,13 @@ class ModelSpec:
             raise ModelSpecError(f"unknown family {self.family!r}; known: {list(FAMILIES)}")
         if self.task not in TASKS:
             raise ModelSpecError(f"unknown task {self.task!r}; known: {list(TASKS)}")
-        if self.family == "linear_ridge" and self.task != "regression":
-            raise ModelSpecError("linear_ridge supports regression only")
-        allowed = _PARAM_NAMES[self.family]
+        family = _TABLE[self.family]
+        if self.task not in family.tasks:
+            raise ModelSpecError(f"{self.family} supports {' and '.join(family.tasks)} only")
         for name, value in self.params.items():
-            if name not in allowed:
+            if name not in family.space:
                 raise ModelSpecError(
-                    f"{self.family} has no hyperparameter {name!r}; allowed: {sorted(allowed)}"
+                    f"{self.family} has no hyperparameter {name!r}; allowed: {sorted(family.space)}"
                 )
             if isinstance(value, (FloatRange, IntRange, Choice)):
                 value.validate(name)
@@ -127,25 +154,7 @@ class ModelSpec:
 
 def default_spec(family: str, task: str) -> ModelSpec:
     """A sensible random-search space for each family."""
-    spaces = {
-        "linear_ridge": {"lam": FloatRange(1e-6, 1e2, log=True)},
-        "knn": {"k": IntRange(1, 25)},
-        "cart_tree": {"max_depth": IntRange(2, 12), "min_leaf": IntRange(1, 10)},
-        "random_forest": {
-            "n_trees": IntRange(10, 60),
-            "max_depth": IntRange(2, 12),
-            "min_leaf": IntRange(1, 10),
-            "feature_fraction": FloatRange(0.3, 1.0),
-            "bootstrap": True,
-        },
-        "mlp": {
-            "hidden": Choice(((8,), (16,), (32,), (16, 16), (32, 16))),
-            "learning_rate": FloatRange(1e-3, 1e-1, log=True),
-            "epochs": IntRange(50, 300),
-            "batch_size": Choice((16, 32, 64)),
-        },
-    }
-    spec = ModelSpec(family=family, task=task, params=spaces[family])
+    spec = ModelSpec(family, task, dict(_TABLE[family].space) if family in _TABLE else {})
     spec.validate()
     return spec
 

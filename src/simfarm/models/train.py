@@ -9,26 +9,12 @@ import numpy as np
 
 from ..errors import InvalidArgumentError, TrainingError
 from ..tables import DataColumn
-from .forest import RandomForest
-from .linear import RidgeRegressor
-from .mlp import MlpModel
-from .neighbors import KnnModel
 from .preprocess import FittedPreprocessor
-from .spec import ModelSpec
-from .tree import CartTree
+from .spec import MODEL_CLASSES, ModelSpec
 
 __all__ = [
     "TrainedModel", "train", "train_folds", "class_codes", "regression_targets", "MODEL_CLASSES",
 ]
-
-MODEL_CLASSES = {
-    "linear_ridge": RidgeRegressor,
-    "knn": KnnModel,
-    "cart_tree": CartTree,
-    "random_forest": RandomForest,
-    "mlp": MlpModel,
-}
-
 
 @dataclass
 class TrainedModel:
@@ -48,12 +34,6 @@ class TrainedModel:
         if self.preprocessor is None:
             raise TrainingError("model was trained without a preprocessor")
         return self.predict(self.preprocessor.transform(table).matrix)
-
-
-def _build(family: str, task: str, params: dict):
-    # the ridge model is regression-only and takes no task
-    cls = MODEL_CLASSES[family]
-    return cls(**params) if cls is RidgeRegressor else cls(task=task, **params)
 
 
 def class_codes(values: np.ndarray, name: str) -> np.ndarray:
@@ -92,22 +72,20 @@ def regression_targets(values: np.ndarray, name: str) -> np.ndarray:
     return y
 
 
-def _checked(spec: ModelSpec, X, y) -> tuple[dict, np.ndarray, np.ndarray]:
-    """``spec``'s fixed parameters and ``(X, y)`` as validated float / label arrays."""
-    spec.validate()
-    params = spec.fixed_params()
+def _checked(task: str, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as validated float / label arrays."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y):
         raise TrainingError("X must be a 2-D matrix aligned with y")
     if len(X) < 2:
         raise TrainingError("need at least 2 training rows")
-    if spec.task == "classification":
+    if task == "classification":
         y = class_codes(y, "y")
         if len(np.unique(y)) < 2:
             raise TrainingError("classification needs at least 2 classes in y")
     else:
         y = regression_targets(y, "y")
-    return params, X, y
+    return X, y
 
 
 def train(
@@ -119,52 +97,45 @@ def train(
     class_labels: list[str] | None = None,
 ) -> TrainedModel:
     """Fit ``spec`` (all hyperparameters fixed) on ``(X, y)``."""
-    params, X, y = _checked(spec, X, y)
-    model = _build(spec.family, spec.task, params)
-    if spec.family in ("random_forest", "mlp"):
-        model.fit(X, y, seed=seed)
-    else:
-        model.fit(X, y)
-    return TrainedModel(
-        family=spec.family,
-        task=spec.task,
-        params=params,
-        model=model,
-        seed=int(seed),
-        preprocessor=preprocessor,
-        class_labels=class_labels,
-    )
+    model = next(train_folds(spec, [X], [y], seed))
+    model.preprocessor = preprocessor
+    model.class_labels = class_labels
+    return model
 
 
 def train_folds(
     spec: ModelSpec, xs: list[np.ndarray], ys: list[np.ndarray], seed: int = 0
 ) -> Iterator[TrainedModel]:
-    """``train(spec, xs[i], ys[i], seed)`` for every fold i in order, bit for bit.
+    """A model of ``spec`` fitted on ``(xs[i], ys[i])`` with ``seed`` for every fold i, in order.
 
-    MLP folds with the same training-matrix shape and class set start from the
-    same weights and see the same batch order, so each such group trains as one
-    stack (``MlpModel.fit_stack``) before the first model is yielded.  Folds of
+    A family whose class has ``fit_stack`` (MLP) trains folds with the same
+    training-matrix shape and class set as one stack, bit-identical to
+    fitting them one by one, before the first model is yielded.  Folds of
     every other family train one at a time as the iterator advances, so only
     one fitted model, which for a forest can take megabytes, is alive at once.
     """
-    if spec.family != "mlp":
+    spec.validate()
+    params = spec.fixed_params()
+    cls = MODEL_CLASSES[spec.family]
+
+    def trained(model) -> TrainedModel:
+        return TrainedModel(family=spec.family, task=spec.task, params=params, model=model,
+                            seed=int(seed))
+
+    if not hasattr(cls, "fit_stack"):
         for x, y in zip(xs, ys):
-            yield train(spec, x, y, seed=seed)
+            # no name holds the model across the yield, so it is freed once the caller drops it
+            yield trained(cls(task=spec.task, **params).fit(*_checked(spec.task, x, y), seed=seed))
         return
-    checked = [_checked(spec, x, y) for x, y in zip(xs, ys)]
+    data = [_checked(spec.task, x, y) for x, y in zip(xs, ys)]
     groups: dict[tuple, list[int]] = {}
-    for i, (_, x, y) in enumerate(checked):
+    for i, (x, y) in enumerate(data):
         classes = np.unique(y).tobytes() if spec.task == "classification" else b""
         groups.setdefault((x.shape, classes), []).append(i)
-    out: list[TrainedModel | None] = [None] * len(checked)
+    out: list[TrainedModel | None] = [None] * len(data)
     for members in groups.values():
-        params = checked[members[0]][0]
-        models = _build(spec.family, spec.task, params).fit_stack(
-            np.stack([checked[i][1] for i in members]),
-            np.stack([checked[i][2] for i in members]),
-            seed=seed,
-        )
-        for i, model in zip(members, models):
-            out[i] = TrainedModel(family=spec.family, task=spec.task, params=params,
-                                  model=model, seed=int(seed))
+        stacked = cls(task=spec.task, **params).fit_stack(
+            *(np.stack([data[i][j] for i in members]) for j in (0, 1)), seed=seed)
+        for i, model in zip(members, stacked):
+            out[i] = trained(model)
     yield from out

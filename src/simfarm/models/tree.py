@@ -3,7 +3,8 @@
 Regression splits minimize summed squared error, classification splits
 minimize weighted Gini impurity; thresholds sit midway between consecutive
 distinct feature values, both children must hold ``min_leaf`` rows, and ties
-break toward the lower feature index and threshold.
+break toward the lower feature index and threshold.  No cut sits beside inf
+or NaN or where the two values' sum overflows, so no child is empty.
 
 One engine, :func:`grow_trees`, grows every tree, one or many at a time, in
 rounds.  Each tree keeps the rows of its sample once per feature in sorted
@@ -227,7 +228,10 @@ class _Batch:
             score += right
             del left, left_sq, right, right_sq
             np.maximum(score, 0.0, out=score)  # rounding can leave an SSE just below 0
-        bad = xs[:, :, 1:] == xs[:, :, :-1]
+        # legal only where x_i <= t < x_i+1, as ``x <= t`` will split the rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = 0.5 * (xs[:, :, :-1] + xs[:, :, 1:])
+        bad = ~((xs[:, :, :-1] <= mid) & (mid < xs[:, :, 1:]))
         bad[:, :, : self.min_leaf - 1] = True
         bad |= cut >= (size - self.min_leaf)[:, None, None]
         bad |= np.isnan(score)  # a NaN score must lose, like an inf one
@@ -415,8 +419,6 @@ def grow_trees(X, y, samples, streams=None, m=None, max_depth=8, min_leaf=1, n_c
 
 
 class CartTree:
-    family = "cart_tree"
-
     def __init__(self, max_depth: int = 8, min_leaf: int = 1, task: str = "regression"):
         if max_depth < 1:
             raise TrainingError(f"max_depth must be >= 1, got {max_depth}")
@@ -437,7 +439,8 @@ class CartTree:
         self.feature, self.threshold, self.left, self.right, self.value = nodes
         return self
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "CartTree":
+    def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "CartTree":
+        """Grow the tree; the fit is deterministic, so ``seed`` is ignored."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or len(X) != len(y):
             raise TrainingError("X must be 2-D and aligned with y")

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from simfarm.analysis.eda import eda_summary, fd_bin_count
 from simfarm.analysis.outliers import detect_outliers
+from simfarm.cli import dispatch
 from simfarm.errors import InvalidArgumentError
 from simfarm.rng import substream
-from simfarm.tables import DataColumn
+from simfarm.tables import DataColumn, ResultTable
 
 
 def report_for(*columns):
@@ -124,3 +127,17 @@ def test_range_that_overflows_is_a_domain_error_naming_the_column():
             eda_summary([fine, DataColumn.numeric("wide", values)])
     report = eda_summary([DataColumn.numeric("wide", [1e150, -1e150, 0.5])])
     assert report.numeric[0].min == -1e150 and sum(report.numeric[0].bin_counts) == 3
+
+
+def test_bin_count_is_capped_at_one_bin_per_value(tmp_path):
+    # a tiny IQR against a huge range asks Freedman-Diaconis for ~7.6e22 bins
+    x = np.r_[substream(4, 0).normal(0, 1, 998) * 1e-12, -1e10, 1e10]
+    assert fd_bin_count(x) == len(x)
+    data = tmp_path / "wide.csv"
+    ResultTable(index=np.arange(len(x)), status=np.ones(len(x), dtype=bool),
+                columns={"v": x}).to_csv(data)
+    out = tmp_path / "eda.json"
+    assert dispatch(["analyze", "eda", "--data", str(data), "--out", str(out)]) == 0
+    (summary,) = json.loads(out.read_text())["numeric"]
+    assert 1 <= len(summary["histogram"]["counts"]) <= len(x)
+    assert sum(summary["histogram"]["counts"]) == len(x)

@@ -10,6 +10,8 @@ import pytest
 import simfarm
 from simfarm.analysis import plots
 from simfarm.analysis.plots import emit_plot, render_scatter
+from simfarm.cli import dispatch
+from simfarm.tables import ResultTable
 from simfarm.errors import InvalidArgumentError
 from simfarm.rng import substream
 
@@ -185,6 +187,18 @@ class TestNiceTicks:
                 assert ticks
                 for el in ticks:
                     assert x0 <= float(el.get("x1")) <= x1, (lo, hi, el.attrib)
+
+    def test_subnormal_span_gives_one_tick_and_a_well_formed_svg(self, tmp_path):
+        assert plots._nice_ticks(0.0, 5e-324) == [0.0]
+        emit_plot([0.0, 5e-324], "histogram", tmp_path / "h.svg")
+        ET.parse(tmp_path / "h.svg")
+        data = tmp_path / "tiny.csv"
+        ResultTable(index=np.arange(3), status=np.ones(3, dtype=bool),
+                    columns={"v": np.array([0.0, 5e-324, 0.0])}).to_csv(data)
+        code = dispatch(["analyze", "eda", "--data", str(data), "--out", str(tmp_path / "eda.json"),
+                         "--svg-dir", str(tmp_path / "svg")])
+        assert code == 0
+        ET.parse(tmp_path / "svg" / "hist_v.svg")
 
     # A loop that never ends would grow memory without bound, so the calls run
     # in a child process with an address-space cap and a timeout.

@@ -19,6 +19,12 @@ from simfarm.models.tree import feature_draws
 from simfarm.rng import substream
 
 
+def _separates(a, b):
+    """Whether the cut ``0.5 * (a + b)`` puts ``a`` left and ``b`` right under ``x <= t``."""
+    t = 0.5 * (a + b)
+    return a <= t < b
+
+
 def _scan_splits_sse(xs, ys, min_leaf):
     n = xs.shape[0]
     total = 0.0
@@ -34,7 +40,7 @@ def _scan_splits_sse(xs, ys, min_leaf):
     for i in range(n - 1):
         left += ys[i]
         left_sq += ys[i] * ys[i]
-        if xs[i + 1] == xs[i]:
+        if not _separates(xs[i], xs[i + 1]):
             continue
         nl = i + 1
         nr = n - nl
@@ -63,7 +69,7 @@ def _scan_splits_gini(xs, codes, n_classes, min_leaf):
     found = False
     for i in range(n - 1):
         left_counts[codes[i]] += 1
-        if xs[i + 1] == xs[i]:
+        if not _separates(xs[i], xs[i + 1]):
             continue
         nl = i + 1
         nr = n - nl
@@ -271,19 +277,36 @@ def test_forest_is_independent_of_block_and_batch_sizes(monkeypatch, task):
 @pytest.mark.parametrize("task", ["regression", "classification"])
 @pytest.mark.parametrize("edge", [np.inf, np.nan])
 def test_cut_beside_inf_or_nan_leaves_an_empty_child(task, edge):
-    # the cut between 1.0 and inf is at inf (every row goes left), beside NaN it is
-    # NaN (every row goes right): the other child is an empty leaf with a NaN mean
+    # the cut between 1.0 and inf would sit at inf (every row left), beside NaN at
+    # NaN (every row right), and leave the other child an empty leaf with a NaN
+    # mean; neither is a legal cut, so no leaf is empty and no value is NaN
     X = np.c_[np.r_[np.ones(30), np.full(30, edge)], np.arange(60.0) % 7]
     y = np.r_[np.zeros(30), np.ones(30)] + (np.arange(60) % 3) * 0.1
     if task == "classification":
         y = (y > 0.5).astype(np.int64) + np.arange(60) % 2
     got = CartTree(max_depth=4, task=task).fit(X, y).to_state()
     ref = ReferenceTree(max_depth=4, task=task).fit(X, y).to_state()
-    assert json.dumps(got) == json.dumps(ref)  # NaN values compare by their text
+    assert json.dumps(got) == json.dumps(ref)
+    assert all(math.isfinite(t) for t in got["threshold"])
+    assert not any(math.isnan(v) for v in got["value"])
+    assert 0 not in got["feature"]  # feature 0 has no legal cut
     params = dict(n_trees=3, max_depth=4, min_leaf=1, feature_fraction=0.5, bootstrap=True,
                   task=task)
     forest = RandomForest(**params).fit(X, y, seed=1).to_state()["trees"]
     assert json.dumps(forest) == json.dumps(reference_forest(X, y, 1, **params))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cut_beside_minus_inf_splits_and_an_overflowing_cut_does_not():
+    y = np.r_[np.zeros(10), np.ones(10)]
+    X = np.r_[np.full(10, -np.inf), np.zeros(10)][:, None]
+    tree = CartTree(max_depth=1).fit(X, y)
+    assert (tree.feature[0], tree.threshold[0]) == (0, -np.inf)
+    assert np.array_equal(tree.predict(X), y)
+    # 1e308 + 1.7e308 overflows, so its midpoint is inf and sends every row left
+    X = np.r_[np.full(10, 1e308), np.full(10, 1.7e308)][:, None]
+    for tree in (CartTree(max_depth=1).fit(X, y), ReferenceTree(max_depth=1).fit(X, y)):
+        assert tree.feature == [-1] and tree.value == [0.5]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 8, 20])
