@@ -2,7 +2,10 @@
 
 Quantiles use linear interpolation between order statistics (the "type 7"
 convention, numpy's default).  Degenerate scale (zero standard deviation or
-zero IQR) flags nothing and is noted in the report.
+zero IQR) flags nothing and is noted in the report.  So is a z-score test
+of ``n`` values with ``(n - 1) / sqrt(n) <= k``: no value of a sample can lie
+further than ``(n - 1) / sqrt(n)`` sample standard deviations from its mean
+(Shiffler 1988), so such a test can flag nothing.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ def detect_outliers(sample, method: str = "iqr", k: float | None = None) -> Outl
     if len(x) < 4:
         raise InvalidArgumentError(f"need at least 4 non-missing values, got {len(x)}")
 
+    note = None
     if method == "zscore":
         k = 3.0 if k is None else float(k)
         mean = float(x.mean())
@@ -61,6 +65,12 @@ def detect_outliers(sample, method: str = "iqr", k: float | None = None) -> Outl
                 note="degenerate scale: standard deviation is zero",
             )
         mask = np.abs(x - mean) > k * sd
+        max_z = (len(x) - 1) / np.sqrt(len(x))
+        if max_z <= k:
+            note = (
+                f"no z-score of {len(x)} values can exceed (n - 1) / sqrt(n) = "
+                f"{max_z:.4g} <= k, so nothing can be flagged"
+            )
     elif method == "iqr":
         k = 1.5 if k is None else float(k)
         q1 = float(np.quantile(x, 0.25))
@@ -77,4 +87,4 @@ def detect_outliers(sample, method: str = "iqr", k: float | None = None) -> Outl
     else:
         raise InvalidArgumentError(f"unknown method {method!r}; use 'zscore' or 'iqr'")
 
-    return OutlierReport(method, k, positions[mask], thresholds)
+    return OutlierReport(method, k, positions[mask], thresholds, note)

@@ -28,16 +28,7 @@ from .analysis import (
     run_hypothesis_test,
 )
 from .analysis.features import pearson_r
-from .doe import (
-    Boolean,
-    Design,
-    Integer,
-    factor_cells,
-    lhs_design,
-    load_factors,
-    write_design,
-    write_design_block,
-)
+from .doe import Design, lhs_design, load_factors, write_design
 from .errors import (
     CommandParser,
     ConfigurationError,
@@ -73,19 +64,14 @@ from .models.preprocess import fit_preprocessor
 from .models.spec import FAMILIES as MODEL_FAMILIES
 from .models.train import class_codes, regression_targets
 from .tables import (
-    CSV_BLOCK_ROWS,
     RESERVED_INDEX,
     RESERVED_STATUS,
     STATUS_FAILED,
     STATUS_OK,
     DataColumn,
     ResultTable,
-    column_cells,
     columns_from_table,
-    float_cells,
-    formatted,
-    header_line,
-    write_block,
+    write_csv_columns,
 )
 
 __all__ = ["main", "dispatch"]
@@ -130,14 +116,41 @@ def _cmd_doe(args) -> int:
 # -- run -------------------------------------------------------------------------
 
 
+def _require(ok: bool, key: str, what: str, value) -> None:
+    # JSON values load as exactly int, float, str, bool, list, dict or None, so
+    # ``type(v) is int`` tells an integer from true/false, which isinstance does not.
+    if not ok:
+        raise ConfigurationError(f"experiment config {key!r} must be {what}, got {value!r}")
+
+
 def _load_experiment(path) -> dict:
+    """Read an experiment config and check every key's JSON type before it is used."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("experiment config must be a JSON object")
     for key in ("factors", "n", "seed", "runner", "chunk_size", "out_dir"):
         if key not in cfg:
             raise ConfigurationError(f"experiment config is missing {key!r}")
-    if int(cfg["chunk_size"]) < 1:
+    for key in ("n", "seed", "chunk_size"):
+        _require(type(cfg[key]) is int, key, "an integer", cfg[key])
+    for key in ("factors", "out_dir"):
+        _require(isinstance(cfg[key], str), key, "a string", cfg[key])
+    if cfg["chunk_size"] < 1:
         raise ConfigurationError("chunk_size must be >= 1")
+    runner = cfg["runner"]
+    if isinstance(runner, dict):
+        command = runner.get("command")
+        _require(
+            isinstance(command, list) and command and all(isinstance(c, str) for c in command),
+            "runner.command", "a non-empty list of strings", command,
+        )
+    elif not isinstance(runner, str):
+        raise ConfigurationError(
+            "runner must be a built-in name or an object with a 'command' list"
+        )
+    options = cfg.setdefault("runner_options", {})
+    _require(isinstance(options, dict), "runner_options", "an object", options)
     base = Path(path).parent
     factors_path = Path(cfg["factors"])
     if not factors_path.is_absolute():
@@ -147,10 +160,15 @@ def _load_experiment(path) -> dict:
     cfg["factors"] = factors_path
     crit = cfg.get("criterion")
     if crit is not None:
+        _require(isinstance(crit, dict), "criterion", "an object", crit)
         for key in ("metric", "epsilon"):
             if key not in crit:
                 raise ConfigurationError(f"criterion is missing {key!r}")
-        if float(crit["epsilon"]) <= 0:
+        _require(isinstance(crit["metric"], str), "criterion.metric", "a string", crit["metric"])
+        crit.setdefault("floor", 1e-9)
+        for key in ("epsilon", "floor"):
+            _require(type(crit[key]) in (int, float), f"criterion.{key}", "a number", crit[key])
+        if crit["epsilon"] <= 0:
             raise ConfigurationError("criterion epsilon must be > 0")
     return cfg
 
@@ -160,72 +178,53 @@ def _write_campaign_csvs(design: Design, results: ResultTable, out_dir: Path) ->
 
     ``joined.csv`` holds the executed design rows beside their results,
     exactly as :meth:`ResultTable.to_csv` writes the table of both: a result
-    column named like a factor takes that factor's place, and Integer and
-    Boolean factors are floats there (Boolean ``1``/``0``) where the design
-    CSV writes ``%d`` and ``true``/``false``.  A block of ``CSV_BLOCK_ROWS``
-    design rows is formatted to cell strings once; a cell both files spell
-    alike (Continuous and Categorical factors, every result column) is
-    formatted once and written to both.
+    column named like a factor takes that factor's place, and integer and
+    bool factor columns are float64 there, as in any ``ResultTable``.  The
+    three files go through one :func:`~simfarm.tables.write_csv_columns`
+    call, so a column they share (the index, the status, a float or text
+    factor, every result column) is formatted once per block; ``joined.csv``
+    ends at the executed rows, its shortest columns.
     """
     k = results.n_rows
     # run_batches runs consecutive chunks from row 0, and pins each chunk's index.
     if not np.array_equal(results.index, np.arange(k)):
         raise ContractViolationError("executed rows are not a prefix of the design")
-    factor_names = [f.name for f in design.factors]
-    joined_names = dict.fromkeys([*factor_names, *results.columns])
+    factors = {f.name: design.columns[f.name] for f in design.factors}
+    joined = {
+        name: values[:k].astype(np.float64) if values.dtype.kind in "iub" else values
+        for name, values in factors.items()
+    }
+    joined.update(results.columns)
+    reserved = [results.index, np.where(results.status, STATUS_OK, STATUS_FAILED)]
     with (
         open(out_dir / "design.csv", "w", encoding="utf-8", newline="") as fd,
         open(out_dir / "results.csv", "w", encoding="utf-8", newline="") as fr,
         open(out_dir / "joined.csv", "w", encoding="utf-8", newline="") as fj,
     ):
-        fd.write(header_line(factor_names))
-        fr.write(header_line([RESERVED_INDEX, RESERVED_STATUS, *results.columns]))
-        fj.write(header_line([RESERVED_INDEX, RESERVED_STATUS, *joined_names]))
-        for lo in range(0, design.n, CSV_BLOCK_ROWS):
-            ran = slice(lo, min(lo + CSV_BLOCK_ROWS, k))  # executed rows; empty past k
-            design_cols, joined_cols = [], {}
-            for f in design.factors:
-                values = design.columns[f.name]
-                cells = formatted(factor_cells(f.kind, values[lo : lo + CSV_BLOCK_ROWS]))
-                design_cols.append(cells)
-                if isinstance(f.kind, (Integer, Boolean)):  # float64 in a ResultTable
-                    cells = float_cells(values[ran].astype(np.float64))
-                joined_cols[f.name] = cells
-            result_cols = {
-                name: formatted(column_cells(arr[ran])) for name, arr in results.columns.items()
-            }
-            joined_cols.update(result_cols)
-            index = ("%d", list(range(ran.start, ran.stop)))
-            status = ("%s", np.where(results.status[ran], STATUS_OK, STATUS_FAILED).tolist())
-
-            write_design_block(fd, design_cols)
-            # write_block stops at the executed rows, where the design cells run on.
-            write_block(fr, [index, status, *result_cols.values()])
-            write_block(fj, [index, status, *joined_cols.values()])
+        write_csv_columns(
+            (fd, list(factors), list(factors.values())),
+            (fr, [RESERVED_INDEX, RESERVED_STATUS, *results.columns],
+             [*reserved, *results.columns.values()]),
+            (fj, [RESERVED_INDEX, RESERVED_STATUS, *joined], [*reserved, *joined.values()]),
+        )
 
 
 def _cmd_run(args) -> int:
     cfg = _load_experiment(args.config)
     factors = load_factors(cfg["factors"])
-    design = lhs_design(factors, int(cfg["n"]), int(cfg["seed"]))
+    design = lhs_design(factors, cfg["n"], cfg["seed"])
     runner_cfg = cfg["runner"]
     if isinstance(runner_cfg, str):
-        runner = get_runner(runner_cfg, **cfg.get("runner_options", {}))
-    elif isinstance(runner_cfg, dict) and "command" in runner_cfg:
-        runner = SubprocessRunner(runner_cfg["command"])
+        runner = get_runner(runner_cfg, **cfg["runner_options"])
     else:
-        raise ConfigurationError(
-            "runner must be a built-in name or an object with a 'command' list"
-        )
+        runner = SubprocessRunner(runner_cfg["command"])
     crit_cfg = cfg.get("criterion")
     criterion = None
     if crit_cfg is not None:
         criterion = mean_convergence_criterion(
-            crit_cfg["metric"],
-            float(crit_cfg["epsilon"]),
-            float(crit_cfg.get("floor", 1e-9)),
+            crit_cfg["metric"], float(crit_cfg["epsilon"]), float(crit_cfg["floor"])
         )
-    results, report = run_batches(design, runner, criterion, int(cfg["chunk_size"]))
+    results, report = run_batches(design, runner, criterion, cfg["chunk_size"])
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, ParseError
 from .rng import substream
-from .tables import CSV_BLOCK_ROWS, float_cells, header_line, quote_cell, read_csv_tokens, write_block
+from .tables import read_csv_tokens, write_csv_columns
 
 __all__ = [
     "Continuous",
@@ -33,9 +33,6 @@ __all__ = [
     "lhs_design",
     "validate_design",
     "write_design",
-    "write_design_rows",
-    "write_design_block",
-    "factor_cells",
     "read_design",
     "load_factors",
     "dump_factors",
@@ -131,6 +128,12 @@ class Design:
         for f in self.factors:
             if f.name not in self.columns:
                 raise InvalidArgumentError(f"missing column for factor {f.name!r}")
+        # Each column takes its kind's dtype, which is what fixes how it is written.
+        columns = {
+            f.name: np.asarray(self.columns[f.name]).astype(_column_dtype(f.kind), copy=False)
+            for f in self.factors
+        }
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n(self) -> int:
@@ -229,48 +232,19 @@ def validate_design(design: Design) -> DesignValidation:
 # -- serialization -----------------------------------------------------------
 
 
-def factor_cells(kind: FactorKind, values: np.ndarray) -> tuple[str, list]:
-    """One factor's block of values as ``(conversion, values)`` for ``write_block``."""
-    if isinstance(kind, Continuous):
-        return float_cells(values)
-    if isinstance(kind, Integer):
-        return "%d", values.tolist()
-    if isinstance(kind, Boolean):
-        return "%s", ["true" if v else "false" for v in values.tolist()]
-    return "%s", [quote_cell(str(v)) for v in values]
-
-
-def write_design_block(fh, columns: Sequence[tuple[str, list]]) -> None:
-    """:func:`~simfarm.tables.write_block` for design CSV rows."""
-    if len(columns) == 1 and columns[0][0] == "%s":
-        # A lone empty cell is quoted, or it would read back as a blank line.
-        columns = [("%s", [c or '""' for c in columns[0][1]])]
-    write_block(fh, columns)
-
-
-def write_design_rows(fh, design: Design, index: np.ndarray | None = None) -> None:
-    """Write ``design``'s rows to the text file ``fh``, each prefixed by ``index`` if given.
-
-    Cells are formatted a block of rows at a time, column by column.
-    """
-    for lo in range(0, design.n, CSV_BLOCK_ROWS):
-        block = slice(lo, lo + CSV_BLOCK_ROWS)
-        cols = [factor_cells(f.kind, design.columns[f.name][block]) for f in design.factors]
-        if index is not None:
-            cols.insert(0, ("%d", index[block].tolist()))
-        write_design_block(fh, cols)
-
-
 def write_design(design: Design, path) -> None:
-    """Design CSV: header row of factor names, RFC-4180 quoting, LF endings."""
+    """Design CSV: a header row of factor names, then the rows as
+    :func:`~simfarm.tables.write_csv_columns` spells them from each column's dtype."""
+    names = [f.name for f in design.factors]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header_line(f.name for f in design.factors))
-        write_design_rows(fh, design)
+        write_csv_columns((fh, names, [design.columns[name] for name in names]))
 
 
 def read_design(path, factors: Sequence[FactorSpec]) -> Design:
     """Read a Design CSV back against a known factor list.
 
+    A cell that does not parse as its factor's kind, an Integer outside int64
+    included, is a :class:`ParseError` at its line.
     The CSV stores values only; the generation seed is not persisted.
     """
     factors = tuple(factors)
@@ -299,7 +273,7 @@ def read_design(path, factors: Sequence[FactorSpec]) -> Design:
                     out[i] = cell == "true"
                 else:
                     out[i] = cell
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ParseError(
                     f"unparsable cell {cell!r} for factor {f.name!r}", line=line_of(i)
                 ) from None

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .doe import Design, write_design_rows
+from .doe import Design
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -30,7 +30,7 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
 )
-from .tables import RESERVED_INDEX, ResultTable, header_line
+from .tables import RESERVED_INDEX, ResultTable, write_csv_columns
 
 __all__ = [
     "DesignChunk",
@@ -240,8 +240,11 @@ class SubprocessRunner:
     def _write_chunk(self, chunk: DesignChunk, path: Path) -> None:
         design = chunk.design
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header_line([RESERVED_INDEX, *(f.name for f in design.factors)]))
-            write_design_rows(fh, design, index=chunk.indices)
+            write_csv_columns((
+                fh,
+                [RESERVED_INDEX, *(f.name for f in design.factors)],
+                [chunk.indices, *(design.columns[f.name] for f in design.factors)],
+            ))
 
     def __call__(self, chunk: DesignChunk) -> ResultTable:
         with tempfile.TemporaryDirectory(prefix="simfarm-chunk-") as tmp:

@@ -8,19 +8,21 @@ endings, a dot decimal separator, and ``.17g`` float formatting so
 write-then-read round-trips values bit-exactly.
 
 Both directions work a block of ``CSV_BLOCK_ROWS`` rows at a time and cost
-little more than ``float()`` or ``"%.17g" %`` per cell.  The writer formats a
-block with one row format string; a cell is quoted only when it holds ``,``,
-``"``, ``\n`` or ``\r`` (:func:`quote_cell`).  The reader takes one of two
-tokenizers.  Text with no ``"``, no ``\r`` and no line longer than
-``csv.field_size_limit()`` cannot hold a quoted or over-long cell, so its
-records are exactly its ``\n``-separated lines split at ``,`` (a blank line
-is a record of zero cells); whole columns of such a block are parsed with
-``map(float, ...)``.  Any other text is tokenized by the ``csv`` module, and
-an error it raises becomes a :class:`~simfarm.errors.ParseError` at its line.
-Both tokenizers feed the same header, row-width, reserved-cell and column
-checks, so they give the same table or the same error for every input.
-:func:`read_csv_tokens` is the one way in from a file, for result tables and
-design CSVs alike.
+little more than ``float()`` or ``"%.17g" %`` per cell.  Design, chunk,
+result and campaign CSVs are all written by :func:`write_csv_columns`, the
+only place that knows how a cell is spelled: it spells each cell from its
+column's dtype and formats a block with one row format string; a cell is
+quoted only when it holds ``,``, ``"``, ``\n`` or ``\r`` (:func:`quote_cell`).
+The reader takes one of two tokenizers.  Text with no ``"``, no ``\r`` and
+no line longer than ``csv.field_size_limit()`` cannot hold a quoted or
+over-long cell, so its records are exactly its ``\n``-separated lines split
+at ``,`` (a blank line is a record of zero cells); whole columns of such a
+block are parsed with ``map(float, ...)``.  Any other text is tokenized by
+the ``csv`` module, and an error it raises becomes a
+:class:`~simfarm.errors.ParseError` at its line.  Both tokenizers feed the
+same header, row-width, reserved-cell and column checks, so they give the
+same table or the same error for every input.  :func:`read_csv_tokens` is
+the one way in from a file, for result tables and design CSVs alike.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -41,13 +44,8 @@ __all__ = [
     "DataColumn",
     "columns_from_table",
     "format_float",
-    "format_floats",
-    "float_cells",
-    "column_cells",
-    "formatted",
     "quote_cell",
-    "header_line",
-    "write_block",
+    "write_csv_columns",
     "read_csv_tokens",
     "CSV_BLOCK_ROWS",
 ]
@@ -69,46 +67,6 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def format_floats(values: np.ndarray) -> list[str]:
-    """:func:`format_float` over a float array, one cell string per value."""
-    floats = np.asarray(values, dtype=np.float64).tolist()
-    return ["" if x != x else format(x, ".17g") for x in floats]
-
-
-def float_cells(values: np.ndarray) -> tuple[str, list]:
-    """A float block as ``(conversion, values)`` for :func:`write_block`.
-
-    ``"%.17g" % x`` is byte-equal to ``format(x, ".17g")`` for every double,
-    but NaN must be written as an empty cell, so a block holding one is
-    formatted cell by cell.
-    """
-    if np.isnan(values).any():
-        return "%s", format_floats(values)
-    return "%.17g", values.tolist()
-
-
-def column_cells(values: np.ndarray) -> tuple[str, list]:
-    """A block of a :class:`ResultTable` column as ``(conversion, values)``.
-
-    Floats as by :func:`float_cells`; any other value as its quoted ``str``,
-    with ``None`` written as an empty cell.
-    """
-    if values.dtype.kind == "f":
-        return float_cells(values)
-    return "%s", [quote_cell("" if v is None else str(v)) for v in values]
-
-
-def formatted(cells: tuple[str, list]) -> tuple[str, list[str]]:
-    """A ``(conversion, values)`` block with every value formatted, as ``("%s", cells)``.
-
-    A block formatted once this way can be written to several files.
-    """
-    conversion, values = cells
-    if conversion == "%s":
-        return cells
-    return "%s", list(map(conversion.__mod__, values))
-
-
 def quote_cell(cell: str) -> str:
     """RFC 4180 minimal quoting: a cell holding ``,``, ``"``, ``\n`` or ``\r`` is
     wrapped in ``"`` with each ``"`` doubled; any other cell is written as is."""
@@ -117,19 +75,60 @@ def quote_cell(cell: str) -> str:
     return cell
 
 
-def header_line(names: Iterable[str]) -> str:
-    """The CSV header row of ``names``, with its ``\n``."""
-    return ",".join(map(quote_cell, names)) + "\n"
+def _cells(values: np.ndarray) -> tuple[str, list]:
+    """A column block as ``(conversion, values)`` for a row format; ``%s`` values are cells."""
+    kind = values.dtype.kind
+    if kind == "f":
+        # "%.17g" % x is byte-equal to format(x, ".17g") for every double.
+        if np.isnan(values).any():
+            return "%s", ["" if x != x else "%.17g" % x for x in values.tolist()]
+        return "%.17g", values.tolist()
+    if kind in "iu":
+        return "%d", values.tolist()
+    if kind == "b":
+        return "%s", np.where(values, "true", "false").tolist()
+    cells = values.tolist()
+    if kind != "U":
+        cells = ["" if v is None else str(v) for v in cells]
+    text = "".join(cells)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        cells = list(map(quote_cell, cells))
+    return "%s", cells
 
 
-def write_block(fh, columns: Sequence[tuple[str, list]]) -> None:
-    """Write one block of rows given column-wise as ``(conversion, values)``.
+def write_csv_columns(*targets: tuple[TextIO, Sequence[str], Sequence[np.ndarray]]) -> None:
+    """Write each ``(fh, names, columns)`` target as a header row and the rows of its columns.
 
-    ``conversion`` is a ``%`` conversion (``%d``, ``%s``, ``%.17g``) applied
-    to every value of its column; ``%s`` values must already be CSV cells.
+    A cell is spelled by its column's dtype: float as ``%.17g`` with NaN as
+    an empty cell, integer as ``%d``, bool as ``true``/``false``, and any
+    other value as its ``str`` with ``None`` as an empty cell, quoted by
+    :func:`quote_cell`.  A file's rows end at its shortest column, and a row
+    of one empty cell is written as ``""`` so it does not read back as a
+    blank line.  The files are written together a block of
+    ``CSV_BLOCK_ROWS`` rows at a time; a column array listed in more than
+    one target is formatted once per block and written to each of them.
     """
-    fmt = ",".join(conversion for conversion, _ in columns) + "\n"
-    fh.write("".join(map(fmt.__mod__, zip(*(values for _, values in columns)))))
+    uses = Counter(id(arr) for _, _, columns in targets for arr in columns)
+    n_rows = [min(map(len, columns), default=0) for _, _, columns in targets]
+    for fh, names, _ in targets:
+        fh.write(",".join(map(quote_cell, names)) + "\n")
+    for lo in range(0, max(n_rows, default=0), CSV_BLOCK_ROWS):
+        blocks: dict[int, tuple[str, list]] = {}  # by id(array): formatted once per block
+        for (fh, _, columns), n in zip(targets, n_rows):
+            if lo >= n:
+                continue
+            block = []
+            for arr in columns:
+                if id(arr) not in blocks:
+                    conversion, values = _cells(arr[lo : lo + CSV_BLOCK_ROWS])
+                    if uses[id(arr)] > 1 and conversion != "%s":
+                        conversion, values = "%s", list(map(conversion.__mod__, values))
+                    blocks[id(arr)] = conversion, values
+                block.append(blocks[id(arr)])
+            if len(block) == 1 and block[0][0] == "%s":
+                block = [("%s", [c or '""' for c in block[0][1]])]
+            fmt = ",".join(conversion for conversion, _ in block) + "\n"
+            fh.write("".join(map(fmt.__mod__, zip(*(values for _, values in block)))))
 
 
 def _as_column_array(values) -> np.ndarray:
@@ -226,13 +225,12 @@ class ResultTable:
             self.write_csv(fh)
 
     def write_csv(self, fh) -> None:
-        fh.write(header_line([RESERVED_INDEX, RESERVED_STATUS, *self.columns]))
-        for lo in range(0, self.n_rows, CSV_BLOCK_ROWS):
-            block = slice(lo, lo + CSV_BLOCK_ROWS)
-            status = np.where(self.status[block], STATUS_OK, STATUS_FAILED)
-            cols = [("%d", self.index[block].tolist()), ("%s", status.tolist())]
-            cols.extend(column_cells(arr[block]) for arr in self.columns.values())
-            write_block(fh, cols)
+        status = np.where(self.status, STATUS_OK, STATUS_FAILED)
+        write_csv_columns((
+            fh,
+            [RESERVED_INDEX, RESERVED_STATUS, *self.columns],
+            [self.index, status, *self.columns.values()],
+        ))
 
     @classmethod
     def from_csv(cls, path) -> "ResultTable":

@@ -122,6 +122,36 @@ class TestRunCommand:
         path.write_text(json.dumps({"factors": "f.json"}))
         assert run_cli("run", "--config", str(path)) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", "abc"),
+        ("n", True),
+        ("seed", 1.5),
+        ("chunk_size", "x"),
+        ("criterion.epsilon", "e"),
+        ("criterion.floor", "f"),
+        ("runner_options", [1]),
+        ("runner.command", "echo"),
+        ("runner.command", []),
+        ("runner.command", ["echo", 1]),
+    ])
+    def test_malformed_config_value_is_exit_2_naming_the_key(
+        self, tmp_path, factors_json, capsys, key, value
+    ):
+        cfg = self.make_config(tmp_path, factors_json)
+        doc = json.loads(cfg.read_text())
+        if key.startswith("runner."):
+            doc["runner"] = {"command": value}
+        elif key.startswith("criterion."):
+            doc["criterion"][key.split(".")[1]] = value
+        else:
+            doc[key] = value
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"simfarm: error: experiment config {key!r} must be")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_runner_options_reach_the_factory(self, tmp_path, factors_json, capsys):
         cfg = self.make_config(tmp_path, factors_json, criterion=False)
         doc = json.loads(cfg.read_text())

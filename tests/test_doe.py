@@ -9,6 +9,7 @@ from simfarm.doe import (
     Boolean,
     Categorical,
     Continuous,
+    Design,
     FactorSpec,
     Integer,
     lhs_design,
@@ -19,6 +20,7 @@ from simfarm.doe import (
     write_design,
 )
 from simfarm.errors import DomainError, InvalidArgumentError, ParseError
+from simfarm.tables import CSV_BLOCK_ROWS
 
 MIXED = [
     FactorSpec("x", Continuous(0.0, 1.0)),
@@ -187,6 +189,57 @@ class TestDesignIo:
         with pytest.raises(ParseError, match="'nope'") as err:
             read_design(path, factors)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
+    def test_integer_outside_int64_is_parse_error(self, tmp_path, cell):
+        path = tmp_path / "big.csv"
+        path.write_text(f"count\n3\n9223372036854775807\n{cell}\n7\n")
+        with pytest.raises(ParseError, match=f"unparsable cell '{cell}' for factor 'count'") as err:
+            read_design(path, [FactorSpec("count", Integer(1, 6))])
+        assert err.value.line == 4
+
+    def test_first_bad_cell_of_each_kind_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,count,mode,flag\n0.5,1,A,true\n0.5,2,B,yes\n0.5,1.5,C,no\n")
+        with pytest.raises(ParseError, match="'1.5' for factor 'count'") as err:
+            read_design(path, MIXED)
+        assert err.value.line == 4
+        path.write_text("x,count,mode,flag\n0.5,1,A,true\n0.5,2,B,yes\n0.5,3,C,no\n")
+        with pytest.raises(ParseError, match="'yes' for factor 'flag'") as err:
+            read_design(path, MIXED)
+        assert err.value.line == 3
+
+    def test_mixed_design_roundtrips_across_a_block_boundary(self, tmp_path):
+        factors = [
+            FactorSpec("x", Continuous(-1e300, 1e300)),
+            FactorSpec("count", Integer(-(2**62), 2**62)),
+            FactorSpec("mode", Categorical(("A", "b,c", 'say "hi"', "two\nlines", ""))),
+            FactorSpec("flag", Boolean()),
+        ]
+        d = lhs_design(factors, CSV_BLOCK_ROWS + 37, seed=12)
+        path = tmp_path / "design.csv"
+        write_design(d, path)
+        back = read_design(path, factors)
+        assert back == d
+        assert [back.column(f.name).dtype for f in factors] == [
+            np.float64, np.int64, object, np.bool_
+        ]
+
+    @pytest.mark.parametrize(
+        "flags, counts",
+        [
+            (np.array([1, 0, 1]), np.array([2.0, 3.0, 4.0])),
+            (np.array([True, False, True], dtype=object), np.array([2, 3, 4], dtype=object)),
+        ],
+    )
+    def test_columns_take_their_kind_dtype(self, tmp_path, flags, counts):
+        factors = [FactorSpec("flag", Boolean()), FactorSpec("count", Integer(1, 6))]
+        d = Design(factors=factors, columns={"flag": flags, "count": counts})
+        assert d.column("flag").dtype == np.bool_ and d.column("count").dtype == np.int64
+        path = tmp_path / "design.csv"
+        write_design(d, path)
+        assert path.read_text() == "flag,count\ntrue,2\nfalse,3\ntrue,4\n"
+        assert read_design(path, factors) == d
 
     def test_over_limit_cell_is_parse_error(self, tmp_path):
         path = tmp_path / "big.csv"

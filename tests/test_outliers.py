@@ -42,6 +42,15 @@ class TestZscore:
         assert len(report.flagged) == 0
         assert "zero" in report.note
 
+    def test_sample_too_small_for_k_is_noted(self):
+        # The largest z-score of n values is (n - 1) / sqrt(n): 2.85 for n = 10.
+        report = detect_outliers(np.append(np.zeros(9), 1000.0), method="zscore", k=3.0)
+        assert len(report.flagged) == 0
+        assert "nothing can be flagged" in report.note and "2.846" in report.note
+        # At n = 11 the bound is 3.02 > k: the lone extreme point is flagged.
+        report = detect_outliers(np.append(np.zeros(10), 1000.0), method="zscore", k=3.0)
+        assert list(report.flagged) == [10] and report.note is None
+
     def test_thresholds_reproduce_flags(self):
         x = substream(2, 0).standard_cauchy(500)
         report = detect_outliers(x, method="zscore", k=3.0)
