@@ -110,9 +110,7 @@ def _range_cdf_unit_scale(q: float, k: int) -> float:
     z = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * _GL_WEIGHTS
     phi = np.exp(-0.5 * z * z) / _SQRT_2PI
-    big = np.array([norm_cdf(v) for v in z])
-    small = np.array([norm_cdf(v - q) for v in z])
-    inner = np.maximum(big - small, 0.0) ** (k - 1)
+    inner = np.maximum(norm_cdf(z) - norm_cdf(z - q), 0.0) ** (k - 1)
     return float(k * np.sum(w * phi * inner))
 
 

@@ -71,7 +71,7 @@ def ks_statistic(sorted_sample: np.ndarray, cdf_values: np.ndarray) -> float:
 
 
 def _cdf_normal(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    return np.array([norm_cdf((v - mu) / sigma) for v in x])
+    return norm_cdf((x - mu) / sigma)
 
 
 def _cdf_uniform(x: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Special-function kernels: incomplete gamma/beta and the normal quantile.
+"""Special-function kernels: incomplete gamma/beta and the normal CDF and quantile.
 
 Self-contained double-precision implementations (no external numeric
 dependency): regularized incomplete gamma by power series plus a modified
@@ -229,12 +229,18 @@ def betainc(a, b, x):
     return _blockwise(_betainc, a, b, x)
 
 
-def norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+def _half_erfc(v: np.ndarray) -> np.ndarray:
+    return 0.5 * _libm(math.erfc, v / math.sqrt(2.0))
 
 
-def norm_sf(x: float) -> float:
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+def norm_cdf(x):
+    """Standard normal CDF, elementwise."""
+    return _blockwise(lambda v: _half_erfc(-v), x)
+
+
+def norm_sf(x):
+    """Standard normal upper tail 1 - CDF, elementwise."""
+    return _blockwise(_half_erfc, x)
 
 
 # PPND16 rational approximations, highest power first: the central region

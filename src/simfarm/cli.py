@@ -52,15 +52,14 @@ from .geo import (
 )
 from .models import (
     ModelSpec,
-    PreprocessorSpec,
     default_spec,
+    fit_preprocessor,
     load_model,
     random_search_cv_table,
     save_model,
     smote,
     train,
 )
-from .models.preprocess import fit_preprocessor
 from .models.spec import FAMILIES as MODEL_FAMILIES
 from .models.train import class_codes, regression_targets
 from .tables import (
@@ -322,15 +321,14 @@ def _split_features_target(columns: list[DataColumn], target: str, task: str):
     class_labels = None
     if task == "classification":
         if y_col.kind == "categorical":
-            missing = [i for i, v in enumerate(y_col.values) if v is None]
-            if missing:
+            missing = np.flatnonzero(y_col.missing_mask())
+            if missing.size:
                 raise InvalidArgumentError(
                     f"classification target {target!r} must hold a label in every row; "
                     f"row {missing[0]} is empty"
                 )
-            class_labels = sorted(set(y_col.values))
-            mapping = {v: i for i, v in enumerate(class_labels)}
-            y = np.array([mapping[v] for v in y_col.values], dtype=np.int64)
+            labels, y = np.unique(y_col.values, return_inverse=True)
+            class_labels = labels.tolist()
         else:
             y = class_codes(y_col.values, target)
     else:
@@ -369,7 +367,7 @@ def _cmd_model_train(args) -> int:
     columns = _load_columns(args.data)
     features, y, class_labels = _split_features_target(columns, args.target, args.task)
     params = json.loads(args.params) if args.params else {}
-    prep = fit_preprocessor(PreprocessorSpec.default_for(features), features)
+    prep = fit_preprocessor(features)
     matrix = prep.transform(features).matrix
     spec = ModelSpec(family=args.family, task=args.task, params=params)
     model = train(spec, matrix, y, seed=args.seed, preprocessor=prep, class_labels=class_labels)

@@ -286,6 +286,27 @@ def read_design(path, factors: Sequence[FactorSpec]) -> Design:
 _KIND_TAGS = {"continuous", "integer", "categorical", "boolean"}
 
 
+def _entry_value(entry: dict, name, key: str):
+    if key not in entry:
+        raise DomainError(f"factor {name!r}: missing key {key!r}")
+    return entry[key]
+
+
+def _bound(entry: dict, name, key: str, whole: bool) -> float | int:
+    # JSON numbers load as int or float; true/false load as bool, a subclass of int
+    v = _entry_value(entry, name, key)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise DomainError(f"factor {name!r}: {key!r} must be a number, got {v!r}")
+    if not whole:
+        try:
+            return float(v)
+        except OverflowError:
+            raise DomainError(f"factor {name!r}: {key!r} is too large for a float") from None
+    if isinstance(v, float) and not v.is_integer():
+        raise DomainError(f"factor {name!r}: {key!r} must be a whole number, got {v!r}")
+    return int(v)
+
+
 def load_factors(source) -> list[FactorSpec]:
     """Parse a factor-space JSON document (path, file object, or dict)."""
     if isinstance(source, dict):
@@ -295,20 +316,25 @@ def load_factors(source) -> list[FactorSpec]:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    if not isinstance(doc, dict) or "factors" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
         raise DomainError("factor document must be an object with a 'factors' list")
     factors = []
-    for entry in doc["factors"]:
+    for i, entry in enumerate(doc["factors"]):
+        if not isinstance(entry, dict):
+            raise DomainError(f"factor entry {i} must be an object, got {entry!r}")
         name = entry.get("name")
         tag = entry.get("kind")
         if tag not in _KIND_TAGS:
             raise DomainError(f"factor {name!r}: unknown kind {tag!r}")
-        if tag == "continuous":
-            kind: FactorKind = Continuous(float(entry["lo"]), float(entry["hi"]))
-        elif tag == "integer":
-            kind = Integer(int(entry["lo"]), int(entry["hi"]))
+        if tag in ("continuous", "integer"):
+            whole = tag == "integer"
+            lo, hi = (_bound(entry, name, key, whole) for key in ("lo", "hi"))
+            kind: FactorKind = Integer(lo, hi) if whole else Continuous(lo, hi)
         elif tag == "categorical":
-            kind = Categorical(tuple(str(v) for v in entry["levels"]))
+            levels = _entry_value(entry, name, "levels")
+            if not isinstance(levels, list):
+                raise DomainError(f"factor {name!r}: 'levels' must be a list, got {levels!r}")
+            kind = Categorical(tuple(str(v) for v in levels))
         else:
             kind = Boolean()
         factors.append(FactorSpec(name=name, kind=kind))

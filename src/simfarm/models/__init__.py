@@ -1,17 +1,16 @@
 """Surrogate modeling: preprocessing, a small from-scratch model family,
-cross-validation, random-search tuning, SMOTE resampling, and metrics."""
+cross-validation, random-search tuning, SMOTE resampling, and metrics.
+
+Preprocessing follows one rule per column kind: numeric columns are
+mean-imputed and z-scored, categorical columns are mode-imputed (ties go to
+the level seen first) and one-hot encoded in first-appearance order."""
 
 from .forest import RandomForest
 from .linear import RidgeRegressor
 from .metrics import evaluate_metrics
 from .mlp import MlpModel
 from .neighbors import KnnModel
-from .preprocess import (
-    ColumnDirective,
-    FittedPreprocessor,
-    PreprocessorSpec,
-    preprocess,
-)
+from .preprocess import FittedPreprocessor, fit_preprocessor
 from .selection import CvReport, kfold_split, random_search_cv, random_search_cv_table
 from .serialize import load_model, save_model
 from .smote import SmoteResult, smote
@@ -25,10 +24,8 @@ __all__ = [
     "evaluate_metrics",
     "MlpModel",
     "KnnModel",
-    "ColumnDirective",
     "FittedPreprocessor",
-    "PreprocessorSpec",
-    "preprocess",
+    "fit_preprocessor",
     "CvReport",
     "kfold_split",
     "random_search_cv",

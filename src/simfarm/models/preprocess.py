@@ -1,9 +1,11 @@
 """Column preprocessing with strictly fit-time statistics.
 
-All scaling, encoding, and imputation statistics are learned from the fit
-table and frozen into the :class:`FittedPreprocessor`; applying it to new
-data can never change how earlier data transforms (no leakage).  Categorical
-columns must be one-hot encoded to enter the numeric feature matrix; unseen
+One rule per column kind.  A numeric column is mean-imputed and z-scored.  A
+categorical column is mode-imputed (ties go to the level seen first) and
+one-hot encoded, one feature per level in first-appearance order; it must be
+encoded to enter the numeric feature matrix.  The statistics are learned from
+the fit table and frozen into the :class:`FittedPreprocessor`; applying it to
+new data can never change how earlier data transforms (no leakage).  Unseen
 levels map to an all-zero block and are flagged in the transform metadata.
 """
 
@@ -13,66 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateSampleError, InvalidArgumentError, ModelSpecError
+from ..errors import DegenerateSampleError, InvalidArgumentError, ModelFormatError
 from ..tables import DataColumn
 
-__all__ = [
-    "ColumnDirective",
-    "PreprocessorSpec",
-    "TransformResult",
-    "FittedPreprocessor",
-    "preprocess",
-]
+__all__ = ["TransformResult", "FittedPreprocessor", "fit_preprocessor"]
 
-_SCALINGS = ("none", "minmax", "zscore")
-_ENCODINGS = ("none", "onehot")
-_IMPUTATIONS = ("none", "mean", "mode")
-
-
-@dataclass(frozen=True)
-class ColumnDirective:
-    scaling: str = "none"
-    encoding: str = "none"
-    imputation: str = "none"
-
-    def validate(self, name: str, kind: str) -> None:
-        if self.scaling not in _SCALINGS:
-            raise ModelSpecError(f"column {name!r}: unknown scaling {self.scaling!r}")
-        if self.encoding not in _ENCODINGS:
-            raise ModelSpecError(f"column {name!r}: unknown encoding {self.encoding!r}")
-        if self.imputation not in _IMPUTATIONS:
-            raise ModelSpecError(f"column {name!r}: unknown imputation {self.imputation!r}")
-        if kind == "numeric":
-            if self.encoding == "onehot":
-                raise ModelSpecError(f"column {name!r}: onehot applies to categorical columns only")
-        else:
-            if self.scaling != "none":
-                raise ModelSpecError(
-                    f"column {name!r}: scaling {self.scaling!r} applies to numeric columns only"
-                )
-            if self.imputation == "mean":
-                raise ModelSpecError(f"column {name!r}: mean imputation needs a numeric column")
-            if self.encoding != "onehot":
-                raise ModelSpecError(
-                    f"column {name!r}: categorical columns must be one-hot encoded "
-                    "to enter the feature matrix"
-                )
-
-
-@dataclass
-class PreprocessorSpec:
-    directives: dict[str, ColumnDirective]
-
-    @classmethod
-    def default_for(cls, table: list[DataColumn]) -> "PreprocessorSpec":
-        """zscore + mean-impute numerics, onehot + mode-impute categoricals."""
-        directives = {}
-        for col in table:
-            if col.kind == "numeric":
-                directives[col.name] = ColumnDirective(scaling="zscore", imputation="mean")
-            else:
-                directives[col.name] = ColumnDirective(encoding="onehot", imputation="mode")
-        return cls(directives=directives)
+# Each kind's rule as a saved model spells it.
+_RULES = {
+    "numeric": {"scaling": "zscore", "encoding": "none", "imputation": "mean"},
+    "categorical": {"scaling": "none", "encoding": "onehot", "imputation": "mode"},
+}
 
 
 @dataclass
@@ -85,12 +37,9 @@ class TransformResult:
 @dataclass
 class _ColumnStats:
     kind: str
-    directive: ColumnDirective
-    impute_value: object = None
+    impute_value: float | str
     mean: float | None = None
     sd: float | None = None
-    min: float | None = None
-    max: float | None = None
     levels: list[str] = field(default_factory=list)
 
 
@@ -125,37 +74,18 @@ class FittedPreprocessor:
             col = by_name[name]
             if col.kind != st.kind:
                 raise InvalidArgumentError(f"column {name!r} changed kind since fit")
+            values = np.where(col.missing_mask(), st.impute_value, col.values)
             if st.kind == "numeric":
-                x = col.values.astype(np.float64).copy()
-                nan = np.isnan(x)
-                if nan.any():
-                    if st.directive.imputation == "none":
-                        raise InvalidArgumentError(
-                            f"column {name!r} has missing values and no imputation directive"
-                        )
-                    x[nan] = st.impute_value
-                if st.directive.scaling == "minmax":
-                    span = st.max - st.min
-                    x = (x - st.min) / span
-                elif st.directive.scaling == "zscore":
-                    x = (x - st.mean) / st.sd
-                blocks.append(x.reshape(-1, 1))
-            else:
-                block = np.zeros((n, len(st.levels)))
-                level_pos = {lv: i for i, lv in enumerate(st.levels)}
-                for row, v in enumerate(col.values):
-                    if v is None:
-                        if st.directive.imputation == "none":
-                            raise InvalidArgumentError(
-                                f"column {name!r} has missing values and no imputation directive"
-                            )
-                        v = st.impute_value
-                    pos = level_pos.get(v)
-                    if pos is None:
-                        unseen.append((row, name, v))
-                    else:
-                        block[row, pos] = 1.0
-                blocks.append(block)
+                blocks.append(((values - st.mean) / st.sd).reshape(-1, 1))
+                continue
+            distinct, inverse = np.unique(values, return_inverse=True)
+            level_pos = {lv: i for i, lv in enumerate(st.levels)}
+            pos = np.array([level_pos.get(v, -1) for v in distinct], dtype=np.int64)[inverse]
+            block = np.zeros((n, len(st.levels)))
+            seen = np.flatnonzero(pos >= 0)
+            block[seen, pos[seen]] = 1.0
+            blocks.append(block)
+            unseen.extend((int(row), name, values[row]) for row in np.flatnonzero(pos < 0))
         matrix = np.hstack(blocks) if blocks else np.empty((n, 0))
         return TransformResult(matrix=matrix, feature_names=self.feature_names, unseen=unseen)
 
@@ -164,14 +94,12 @@ class FittedPreprocessor:
         for name, st in self._stats.items():
             out["columns"][name] = {
                 "kind": st.kind,
-                "scaling": st.directive.scaling,
-                "encoding": st.directive.encoding,
-                "imputation": st.directive.imputation,
+                **_RULES[st.kind],
                 "impute_value": st.impute_value,
                 "mean": st.mean,
                 "sd": st.sd,
-                "min": st.min,
-                "max": st.max,
+                "min": None,
+                "max": None,
                 "levels": st.levels,
             }
         return out
@@ -180,76 +108,43 @@ class FittedPreprocessor:
     def from_dict(cls, doc: dict) -> "FittedPreprocessor":
         stats = {}
         for name, entry in doc["columns"].items():
+            kind = entry.get("kind")
+            rule = _RULES.get(kind)
+            if rule is None or any(entry.get(key) != value for key, value in rule.items()):
+                raise ModelFormatError(
+                    f"preprocessor column {name!r} does not follow the rule for {kind!r} columns"
+                )
             stats[name] = _ColumnStats(
-                kind=entry["kind"],
-                directive=ColumnDirective(
-                    scaling=entry["scaling"],
-                    encoding=entry["encoding"],
-                    imputation=entry["imputation"],
-                ),
+                kind=kind,
                 impute_value=entry["impute_value"],
                 mean=entry["mean"],
                 sd=entry["sd"],
-                min=entry["min"],
-                max=entry["max"],
                 levels=list(entry["levels"]),
             )
         return cls(order=list(doc["order"]), stats=stats)
 
 
-def fit_preprocessor(spec: PreprocessorSpec, table: list[DataColumn]) -> FittedPreprocessor:
+def fit_preprocessor(table: list[DataColumn]) -> FittedPreprocessor:
+    """Learn each column's statistics from ``table`` under its kind's rule."""
     by_name = {c.name: c for c in table}
-    order = []
     stats: dict[str, _ColumnStats] = {}
-    for name, directive in spec.directives.items():
-        if name not in by_name:
-            raise InvalidArgumentError(f"directive refers to unknown column {name!r}")
-        col = by_name[name]
-        directive.validate(name, col.kind)
-        order.append(name)
-        st = _ColumnStats(kind=col.kind, directive=directive)
+    for name, col in by_name.items():
+        present = col.non_missing()
+        if present.size == 0:
+            raise InvalidArgumentError(f"column {name!r} is entirely missing")
         if col.kind == "numeric":
-            present = col.non_missing()
-            if present.size == 0:
-                raise InvalidArgumentError(f"column {name!r} is entirely missing")
-            if directive.imputation == "mean":
-                st.impute_value = float(present.mean())
-            elif directive.imputation == "mode":
-                values, counts = np.unique(present, return_counts=True)
-                st.impute_value = float(values[np.argmax(counts)])
-            if directive.scaling == "minmax":
-                st.min, st.max = float(present.min()), float(present.max())
-                if st.max == st.min:
-                    raise DegenerateSampleError(
-                        f"column {name!r}: minmax scaling needs a nonzero range"
-                    )
-            elif directive.scaling == "zscore":
-                st.mean = float(present.mean())
-                st.sd = float(present.std(ddof=0))
-                if st.sd == 0.0:
-                    raise DegenerateSampleError(
-                        f"column {name!r}: zscore scaling needs nonzero standard deviation"
-                    )
+            mean = float(present.mean())
+            sd = float(present.std(ddof=0))
+            if sd == 0.0:
+                raise DegenerateSampleError(
+                    f"column {name!r}: zscore scaling needs nonzero standard deviation"
+                )
+            stats[name] = _ColumnStats(kind="numeric", impute_value=mean, mean=mean, sd=sd)
         else:
-            st.levels = col.levels()
-            if not st.levels:
-                raise InvalidArgumentError(f"column {name!r} is entirely missing")
-            if directive.imputation == "mode":
-                counts: dict[str, int] = {}
-                for v in col.values:
-                    if v is not None:
-                        counts[v] = counts.get(v, 0) + 1
-                st.impute_value = max(counts, key=lambda k: (counts[k], -st.levels.index(k)))
-        stats[name] = st
-    return FittedPreprocessor(order=order, stats=stats)
-
-
-def preprocess(
-    spec: PreprocessorSpec,
-    fit_table: list[DataColumn],
-    apply_table: list[DataColumn] | None = None,
-) -> tuple[FittedPreprocessor, TransformResult]:
-    """Fit on ``fit_table`` and transform ``apply_table`` (default: the fit table)."""
-    fp = fit_preprocessor(spec, fit_table)
-    result = fp.transform(apply_table if apply_table is not None else fit_table)
-    return fp, result
+            levels = col.levels()
+            distinct, counts = np.unique(present, return_counts=True)
+            count_of = dict(zip(distinct.tolist(), counts.tolist()))
+            # max keeps the first of tied levels, so the level seen first wins
+            mode = max(levels, key=count_of.__getitem__)
+            stats[name] = _ColumnStats(kind="categorical", impute_value=mode, levels=levels)
+    return FittedPreprocessor(order=list(by_name), stats=stats)

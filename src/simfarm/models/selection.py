@@ -18,7 +18,7 @@ from ..errors import InvalidArgumentError
 from ..rng import stream_index, substream
 from ..tables import DataColumn
 from .metrics import evaluate_metrics
-from .preprocess import PreprocessorSpec, fit_preprocessor
+from .preprocess import fit_preprocessor
 from .spec import ModelSpec, sample_params
 from .train import TrainedModel, train, train_folds
 
@@ -175,7 +175,6 @@ def random_search_cv_table(
     spec: ModelSpec,
     features: list[DataColumn],
     y: np.ndarray,
-    preprocess_spec: PreprocessorSpec | None = None,
     k: int = 5,
     budget: int = 20,
     seed: int = 0,
@@ -186,20 +185,18 @@ def random_search_cv_table(
     The final model's preprocessor is refit on the full table, and per-fold
     statistics never see the held-out rows (no leakage).
     """
-    if preprocess_spec is None:
-        preprocess_spec = PreprocessorSpec.default_for(features)
 
     def subset(idx: np.ndarray) -> list[DataColumn]:
         return [DataColumn(c.name, c.kind, c.values[idx]) for c in features]
 
     def build(train_idx: np.ndarray, val_idx: np.ndarray):
         train_cols = subset(train_idx)
-        fp = fit_preprocessor(preprocess_spec, train_cols)
+        fp = fit_preprocessor(train_cols)
         return fp.transform(train_cols).matrix, fp.transform(subset(val_idx)).matrix
 
     n = len(features[0]) if features else 0
     report = _search(spec, n, y, build, k, budget, seed)
-    fp = fit_preprocessor(preprocess_spec, features)
+    fp = fit_preprocessor(features)
     x_all = fp.transform(features).matrix
     best_seed = stream_index(seed, _STREAM_CONFIG, report.best_index)
     best_model = train(

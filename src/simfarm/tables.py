@@ -434,18 +434,15 @@ class DataColumn:
     def missing_mask(self) -> np.ndarray:
         if self.kind == "numeric":
             return np.isnan(self.values)
-        return np.array([v is None for v in self.values], dtype=bool)
+        return np.equal(self.values, None)
 
     def non_missing(self) -> np.ndarray:
         return self.values[~self.missing_mask()]
 
     def levels(self) -> list[str]:
         """Observed categorical levels in first-appearance order."""
-        seen: dict[str, None] = {}
-        for v in self.values:
-            if v is not None:
-                seen.setdefault(v, None)
-        return list(seen)
+        distinct, first = np.unique(self.non_missing(), return_index=True)
+        return distinct[np.argsort(first)].tolist()
 
 
 def columns_from_table(table: ResultTable, ok_only: bool = True) -> list[DataColumn]:

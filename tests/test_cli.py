@@ -73,6 +73,45 @@ class TestDoeCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+BAD_FACTOR_DOCUMENTS = [
+    ({"name": "s", "kind": "continuous", "lo": "x", "hi": 1}, "factor 's': 'lo' must be a number"),
+    ({"name": "s", "kind": "continuous", "lo": 0, "hi": True}, "factor 's': 'hi' must be a number"),
+    ({"name": "s", "kind": "continuous", "hi": 1}, "factor 's': missing key 'lo'"),
+    ({"name": "s", "kind": "continuous", "lo": 0, "hi": 10**400}, "factor 's': 'hi' is too large"),
+    ({"name": "n", "kind": "integer", "lo": 1.5, "hi": 4}, "factor 'n': 'lo' must be a whole"),
+    ({"name": "n", "kind": "integer", "lo": 1, "hi": True}, "factor 'n': 'hi' must be a number"),
+    ({"name": "c", "kind": "categorical", "levels": 5}, "factor 'c': 'levels' must be a list"),
+    ({"name": "c", "kind": "categorical"}, "factor 'c': missing key 'levels'"),
+    ("speed", "factor entry 0 must be an object, got 'speed'"),
+]
+
+
+@pytest.mark.parametrize("command", ["doe", "run"])
+@pytest.mark.parametrize(
+    "entry, message", BAD_FACTOR_DOCUMENTS, ids=range(len(BAD_FACTOR_DOCUMENTS))
+)
+def test_malformed_factor_document_is_exit_2_naming_factor_and_key(
+    tmp_path, capsys, command, entry, message
+):
+    factors = tmp_path / "factors.json"
+    factors.write_text(json.dumps({"factors": [entry]}))
+    out = tmp_path / "out"
+    if command == "doe":
+        argv = ["doe", "--factors", str(factors), "--n", "10", "--out", str(out)]
+    else:
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "factors": str(factors), "n": 10, "seed": 1, "runner": "navsim",
+            "chunk_size": 5, "out_dir": str(out),
+        }))
+        argv = ["run", "--config", str(config)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"simfarm: error: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestRunCommand:
     def make_config(self, tmp_path, factors_json, criterion=True):
         cfg = {

@@ -5,8 +5,10 @@ must not import the command-line, analysis, model or geodesy layers; and the
 package must load its submodules only when a name is used.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -108,6 +110,18 @@ class TestLazyPackage:
         loaded = loaded_after(code)
         assert "simfarm.cli" not in loaded
         assert {"simfarm.analysis", "simfarm.models", "simfarm.geo"} <= set(loaded)
+
+    def test_every_submodule_export_resolves(self):
+        """A name left in a submodule's ``__all__`` after its code went fails here."""
+        names = [m.name for m in pkgutil.walk_packages(simfarm.__path__, "simfarm.")]
+        assert {"simfarm.models", "simfarm.models.preprocess", "simfarm.cli"} <= set(names)
+        stale = []
+        for name in names:
+            if name == "simfarm.__main__":
+                continue
+            module = importlib.import_module(name)
+            stale += [f"{name}.{e}" for e in getattr(module, "__all__", ()) if not hasattr(module, e)]
+        assert stale == []
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):

@@ -15,7 +15,6 @@ from simfarm.models import (
     random_search_cv_table,
 )
 from simfarm.models import save_model, train
-from simfarm.models.preprocess import ColumnDirective, PreprocessorSpec
 from simfarm.rng import substream
 from simfarm.tables import DataColumn
 
@@ -128,15 +127,7 @@ class TestTableSearch:
         spec = ModelSpec(
             "linear_ridge", "regression", {"lam": FloatRange(1e-6, 1.0, log=True)}
         )
-        prep = PreprocessorSpec(
-            {
-                "x1": ColumnDirective(scaling="zscore", imputation="mean"),
-                "grp": ColumnDirective(encoding="onehot", imputation="mode"),
-            }
-        )
-        model, report = random_search_cv_table(
-            spec, features, y, preprocess_spec=prep, k=4, budget=6, seed=10
-        )
+        model, report = random_search_cv_table(spec, features, y, k=4, budget=6, seed=10)
         assert len(report.evaluated) == 6
         assert model.preprocessor is not None
         pred = model.predict_table(features)
@@ -153,9 +144,9 @@ def test_fold_preprocessors_are_fit_once(monkeypatch, budget):
     calls = []
     fit = selection.fit_preprocessor
 
-    def counted(spec, columns):
+    def counted(columns):
         calls.append(len(columns[0]))
-        return fit(spec, columns)
+        return fit(columns)
 
     monkeypatch.setattr(selection, "fit_preprocessor", counted)
     spec = ModelSpec("linear_ridge", "regression", {"lam": FloatRange(1e-6, 1.0, log=True)})

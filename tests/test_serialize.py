@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from simfarm.cli import dispatch
 from simfarm.errors import ModelFormatError
 from simfarm.models import ModelSpec, load_model, save_model, train
-from simfarm.models.preprocess import PreprocessorSpec, fit_preprocessor
+from simfarm.models.preprocess import fit_preprocessor
 from simfarm.rng import substream
 from simfarm.tables import DataColumn
 
@@ -50,7 +51,7 @@ class TestRoundTrip:
     def test_preprocessor_travels_with_model(self, tmp_path):
         g = substream(1, 0)
         cols = [DataColumn.numeric("x", g.normal(5, 2, 50))]
-        prep = fit_preprocessor(PreprocessorSpec.default_for(cols), cols)
+        prep = fit_preprocessor(cols)
         matrix = prep.transform(cols).matrix
         y = 3.0 * matrix.ravel() + 1.0
         model = train(
@@ -98,3 +99,26 @@ class TestFormatGuards:
         path.write_text("{not json")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_preprocessor_off_its_kind_rule_rejected(self, tmp_path, capsys):
+        g = substream(3, 0)
+        cols = [DataColumn.numeric("x", g.normal(5, 2, 20))]
+        prep = fit_preprocessor(cols)
+        model = train(
+            ModelSpec("linear_ridge", "regression", {"lam": 0.1}),
+            prep.transform(cols).matrix, g.normal(0, 1, 20), preprocessor=prep,
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["preprocessor"]["columns"]["x"].update(scaling="minmax", min=0.0, max=10.0)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="'x'"):
+            load_model(path)
+        data, out = tmp_path / "new.csv", tmp_path / "pred.csv"
+        data.write_text("x\n1.0\n")
+        assert dispatch(["model", "predict", "--model", str(path), "--data", str(data),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simfarm: error:") and "'x'" in err
+        assert "Traceback" not in err and not out.exists()

@@ -19,10 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simfarm import simkit
-from simfarm.analysis import eda, fitting, hypothesis
+from simfarm.analysis import distributions, eda, fitting, hypothesis
 from simfarm.analysis.fitting import fit_distributions
 from simfarm.analysis.ranks import midranks, tie_term
-from simfarm.analysis.special import betainc, gammainc_p, gammainc_q, norm_ppf, norm_ppf_vec
+from simfarm.analysis.special import (
+    betainc,
+    gammainc_p,
+    gammainc_q,
+    norm_cdf,
+    norm_ppf,
+    norm_ppf_vec,
+    norm_sf,
+)
 from simfarm.doe import lhs_design
 from simfarm.errors import NumericalError
 from simfarm.execution import DesignChunk
@@ -187,6 +195,14 @@ def ref_norm_ppf(p):
                 + 5.99832206555887937690e-1) * r + 1.0)
     val = num / den
     return -val if q < 0.0 else val
+
+
+def ref_norm_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def ref_norm_sf(x):
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def ref_midranks(x):
@@ -437,6 +453,43 @@ class TestNormPpf:
         assert_bit_equal(norm_ppf_vec(ps), [ref_norm_ppf(p) for p in ps.tolist()])
 
 
+class TestNormCdf:
+    GRID = np.concatenate([
+        [0.0, -0.0, 40.0, -40.0, math.inf, -math.inf, math.nan],
+        [5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308],
+        np.linspace(-40.0, 40.0, 20_001),
+    ])
+
+    @pytest.mark.parametrize("kernel, ref", [(norm_cdf, ref_norm_cdf), (norm_sf, ref_norm_sf)])
+    def test_array_call_matches_scalar_calls(self, kernel, ref):
+        xs = self.GRID.tolist()
+        got = kernel(self.GRID)
+        assert_bit_equal(got, [kernel(x) for x in xs])
+        assert_bit_equal(got, [ref(x) for x in xs])
+        assert all(type(kernel(x)) is float for x in xs[:13])
+
+    def test_keeps_shape(self):
+        assert norm_cdf(np.zeros((3, 2))).shape == (3, 2)
+
+
+def ref_range_cdf_unit_scale(q, k):
+    lo, hi = -8.0, 8.0
+    z = 0.5 * (hi - lo) * distributions._GL_NODES + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * distributions._GL_WEIGHTS
+    phi = np.exp(-0.5 * z * z) / distributions._SQRT_2PI
+    big = np.array([ref_norm_cdf(v) for v in z])
+    small = np.array([ref_norm_cdf(v - q) for v in z])
+    inner = np.maximum(big - small, 0.0) ** (k - 1)
+    return float(k * np.sum(w * phi * inner))
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 20])
+def test_range_integral_matches_scalar_loop(k):
+    for q in (1e-3, 0.5, 2.0, 3.7, 6.0, 12.0):
+        got = distributions._range_cdf_unit_scale(q, k)
+        assert bits(got) == bits(ref_range_cdf_unit_scale(q, k))
+
+
 # -- midranks and tie term -----------------------------------------------------
 
 TIE_SAMPLES = [
@@ -492,13 +545,18 @@ def _ref_cdf_beta(x, a, b):
     return np.array([ref_betainc(a, b, min(1.0, max(0.0, v))) for v in x])
 
 
+def _ref_cdf_normal(x, mu, sigma):
+    return np.array([ref_norm_cdf((v - mu) / sigma) for v in x])
+
+
 def test_fit_report_identical_to_scalar_references(navsim_columns, monkeypatch):
     fuel = next(c for c in navsim_columns if c.name == "fuel_consumed")
     got = fit_distributions(fuel, rescale=True).to_dict()
     monkeypatch.setattr(fitting, "_cdf_chi2", _ref_cdf_chi2)
     monkeypatch.setattr(fitting, "_cdf_beta", _ref_cdf_beta)
+    monkeypatch.setattr(fitting, "_cdf_normal", _ref_cdf_normal)
     want = fit_distributions(fuel, rescale=True).to_dict()
-    assert {f["family"] for f in got["fits"]} >= {"chi_squared", "beta"}
+    assert {f["family"] for f in got["fits"]} >= {"chi_squared", "beta", "normal"}
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 

@@ -399,6 +399,12 @@ class TestDataColumn:
         col = DataColumn.categorical("c", ["b", None, "a", "b"])
         assert col.levels() == ["b", "a"]
 
+    def test_categorical_missing_first_cell_and_repeated_levels(self):
+        col = DataColumn.categorical("c", [None, "z", "a", "z", None, "m", "a", "z"])
+        assert col.missing_mask().tolist() == [True, False, False, False, True, False, False, False]
+        assert col.non_missing().tolist() == ["z", "a", "z", "m", "a", "z"]
+        assert col.levels() == ["z", "a", "m"]
+
     def test_columns_from_table_filters_failed(self):
         cols = columns_from_table(make_table())
         by_name = {c.name: c for c in cols}
