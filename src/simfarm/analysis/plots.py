@@ -87,14 +87,15 @@ class _Canvas:
         self.x0, self.x1 = _MARGIN_L, _WIDTH - _MARGIN_R
         self.y0, self.y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
 
-    def map_x(self, v: float, lo: float, hi: float) -> float:
+    def map_x(self, v, lo: float, hi: float):
+        """Pixel of ``v``, a value or an array; a range of zero width maps to the middle."""
         if hi == lo:
-            return 0.5 * (self.x0 + self.x1)
+            return np.full(np.shape(v), 0.5 * (self.x0 + self.x1))[()]
         return self.x0 + (v - lo) / (hi - lo) * (self.x1 - self.x0)
 
-    def map_y(self, v: float, lo: float, hi: float) -> float:
+    def map_y(self, v, lo: float, hi: float):
         if hi == lo:
-            return 0.5 * (self.y0 + self.y1)
+            return np.full(np.shape(v), 0.5 * (self.y0 + self.y1))[()]
         return self.y0 - (v - lo) / (hi - lo) * (self.y0 - self.y1)
 
     def axes(self, xlo: float, xhi: float, ylo: float, yhi: float) -> None:
@@ -164,16 +165,8 @@ def render_scatter(x, y, title: str, xlabel: str, ylabel: str) -> str:
     xlo, xhi = _pad_range(float(x.min()), float(x.max()))
     ylo, yhi = _pad_range(float(y.min()), float(y.max()))
     cv.axes(xlo, xhi, ylo, yhi)
-    # the map_x / map_y expressions over arrays, so every coordinate keeps its bits;
+    cx, cy = cv.map_x(x, xlo, xhi), cv.map_y(y, ylo, yhi)
     # "%.6g" % v equals _fmt(v) for every double
-    if xhi == xlo:
-        cx = np.full(x.shape, 0.5 * (cv.x0 + cv.x1))
-    else:
-        cx = cv.x0 + (x - xlo) / (xhi - xlo) * (cv.x1 - cv.x0)
-    if yhi == ylo:
-        cy = np.full(y.shape, 0.5 * (cv.y0 + cv.y1))
-    else:
-        cy = cv.y0 - (y - ylo) / (yhi - ylo) * (cv.y0 - cv.y1)
     point = '<circle class="pt" cx="%.6g" cy="%.6g" r="2.5" fill="#1f77b4" fill-opacity="0.7"/>'
     xy = np.stack([cx.ravel(), cy.ravel()], axis=1)
     for lo in range(0, len(xy), _SCATTER_BLOCK):

@@ -382,7 +382,7 @@ def _cmd_model_predict(args) -> int:
     columns = columns_from_table(table, ok_only=False)
     predictions = model.predict_table(columns)
     if model.task == "classification" and model.class_labels is not None:
-        values = np.array([model.class_labels[int(p)] for p in predictions], dtype=object)
+        values = np.asarray(model.class_labels, dtype=object)[predictions.astype(np.int64)]
     else:
         values = np.asarray(predictions, dtype=np.float64)
     out = ResultTable(

@@ -1,20 +1,24 @@
 """Factor spaces and Latin Hypercube designs.
 
-Factors are continuous, integer, categorical, or boolean.  ``lhs_design``
-stratifies every continuous factor into ``n`` equal-width strata with exactly
-one uniform draw per stratum, samples integer factors by stratifying
-``[lo, hi+1)`` and flooring, and assigns categorical/boolean levels by cycling
-the level list up to ``n`` and shuffling, so level counts differ by at most 1.
-Column ``j`` draws only from the stream ``(seed, j)`` (see :mod:`simfarm.rng`),
-so appending factors never perturbs earlier columns.
+Factors are continuous, integer, categorical, or boolean.  Column ``j`` of
+``lhs_design`` draws from its own stream ``(seed, j)`` (see :mod:`simfarm.rng`),
+so appending factors never perturbs earlier columns.  It draws a permutation of
+the ``n`` strata first.  Continuous and integer factors then draw one uniform
+``u`` per row and take ``lo + (stratum + u) * (top - lo) / n``, with ``top = hi``,
+or ``hi + 1`` then floor and clip for integers, whose bounds must lie within
+[-2**53, 2**53] where float64 is exact.  Categorical and boolean factors take
+``levels[stratum % len(levels)]``, boolean being ``(False, True)``, so level
+counts differ by at most 1.  Kind knowledge lives in the table ``_KINDS`` (dtype,
+JSON tag, CSV cell parser, whole or not, out-of-domain message) and in
+:meth:`FactorSpec.validate` (the rules a factor's fields obey).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -58,10 +62,28 @@ class Categorical:
 
 @dataclass(frozen=True)
 class Boolean:
-    pass
+    levels = (False, True)  # a class attribute, not a field: a boolean has no JSON keys
 
 
 FactorKind = Union[Continuous, Integer, Categorical, Boolean]
+
+
+class _Kind(NamedTuple):
+    tag: str  # the "kind" of a factor-space JSON entry
+    dtype: object  # the column dtype, which fixes how a column is written
+    parse: Callable[[str], object]  # one design CSV cell to a value
+    whole: bool  # the draw spans [lo, hi + 1) and is floored; JSON bounds are whole
+    outside: str  # validate_design's message for a cell outside the domain
+
+
+_KINDS = {
+    Continuous: _Kind("continuous", np.float64, float, False, "value {v!r} outside [{k.lo}, {k.hi}]"),
+    Integer: _Kind("integer", np.int64, int, True, "value {v!r} outside integer [{k.lo}, {k.hi}]"),
+    Categorical: _Kind("categorical", object, str, False, "unknown level {v!r}"),
+    Boolean: _Kind("boolean", np.bool_, {"true": True, "false": False}.__getitem__, False,
+                   "value {v!r} is not boolean"),
+}
+_BAD_CELL = (ValueError, OverflowError, KeyError)  # what a parser or the dtype raises
 
 
 @dataclass(frozen=True)
@@ -73,22 +95,26 @@ class FactorSpec:
         if not self.name or not isinstance(self.name, str):
             raise DomainError(f"factor name must be a non-empty string, got {self.name!r}")
         k = self.kind
-        if isinstance(k, (Continuous, Integer)):
-            if not (k.lo < k.hi):
-                raise DomainError(
-                    f"factor {self.name!r}: lo must be strictly less than hi ({k.lo} >= {k.hi})"
-                )
-            if isinstance(k, Continuous) and not (
-                math.isfinite(k.lo) and math.isfinite(k.hi)
-            ):
-                raise DomainError(f"factor {self.name!r}: bounds must be finite")
-        elif isinstance(k, Categorical):
+        if type(k) not in _KINDS:
+            raise DomainError(f"factor {self.name!r}: unknown kind {k!r}")
+        if isinstance(k, Integer):
+            for key, v in (("lo", k.lo), ("hi", k.hi)):
+                if abs(v) > 2**53:  # float64 holds every whole number up to here
+                    raise DomainError(
+                        f"factor {self.name!r}: integer {key!r} must lie within "
+                        f"[-2**53, 2**53], got {v!r}"
+                    )
+        if isinstance(k, (Continuous, Integer)) and not (k.lo < k.hi):
+            raise DomainError(
+                f"factor {self.name!r}: lo must be strictly less than hi ({k.lo} >= {k.hi})"
+            )
+        if isinstance(k, Continuous) and not (math.isfinite(k.lo) and math.isfinite(k.hi)):
+            raise DomainError(f"factor {self.name!r}: bounds must be finite")
+        if isinstance(k, Categorical):
             if not k.levels:
                 raise DomainError(f"factor {self.name!r}: categorical needs at least one level")
             if len(set(k.levels)) != len(k.levels):
                 raise DomainError(f"factor {self.name!r}: categorical levels must be distinct")
-        elif not isinstance(k, Boolean):
-            raise DomainError(f"factor {self.name!r}: unknown kind {k!r}")
 
 
 def validate_factors(factors: Sequence[FactorSpec]) -> None:
@@ -100,23 +126,12 @@ def validate_factors(factors: Sequence[FactorSpec]) -> None:
         f.validate()
 
 
-def _column_dtype(kind: FactorKind):
-    if isinstance(kind, Continuous):
-        return np.float64
-    if isinstance(kind, Integer):
-        return np.int64
-    if isinstance(kind, Boolean):
-        return np.bool_
-    return object
-
-
 @dataclass(frozen=True)
 class Design:
     """A sampled design: one typed column per factor, ``n`` rows."""
 
     factors: tuple[FactorSpec, ...]
     columns: dict[str, np.ndarray]
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -130,7 +145,7 @@ class Design:
                 raise InvalidArgumentError(f"missing column for factor {f.name!r}")
         # Each column takes its kind's dtype, which is what fixes how it is written.
         columns = {
-            f.name: np.asarray(self.columns[f.name]).astype(_column_dtype(f.kind), copy=False)
+            f.name: np.asarray(self.columns[f.name]).astype(_KINDS[type(f.kind)].dtype, copy=False)
             for f in self.factors
         }
         object.__setattr__(self, "columns", columns)
@@ -150,11 +165,7 @@ class Design:
 
     def take(self, positions) -> "Design":
         positions = np.asarray(positions, dtype=np.int64)
-        return Design(
-            factors=self.factors,
-            columns={k: v[positions] for k, v in self.columns.items()},
-            seed=self.seed,
-        )
+        return Design(self.factors, {k: v[positions] for k, v in self.columns.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Design):
@@ -168,7 +179,7 @@ class Design:
 
 
 def lhs_design(factors: Sequence[FactorSpec], n: int, seed: int) -> Design:
-    """Latin Hypercube design over ``factors`` with ``n`` rows."""
+    """Latin Hypercube design over ``factors`` with ``n`` rows (rules in the module docstring)."""
     if n < 1:
         raise InvalidArgumentError(f"sample size must be >= 1, got {n}")
     factors = tuple(factors)
@@ -176,25 +187,15 @@ def lhs_design(factors: Sequence[FactorSpec], n: int, seed: int) -> Design:
     columns: dict[str, np.ndarray] = {}
     for j, f in enumerate(factors):
         g = substream(seed, j)
-        k = f.kind
-        if isinstance(k, Continuous):
-            strata = g.permutation(n)
-            offsets = g.random(n)
-            columns[f.name] = k.lo + (strata + offsets) * (k.hi - k.lo) / n
-        elif isinstance(k, Integer):
-            strata = g.permutation(n)
-            offsets = g.random(n)
-            vals = np.floor(k.lo + (strata + offsets) * (k.hi + 1 - k.lo) / n)
-            columns[f.name] = np.clip(vals, k.lo, k.hi).astype(np.int64)
-        elif isinstance(k, Categorical):
-            reps = math.ceil(n / len(k.levels))
-            tiled = np.array(list(k.levels) * reps, dtype=object)[:n]
-            columns[f.name] = tiled[g.permutation(n)]
-        else:  # Boolean
-            reps = math.ceil(n / 2)
-            tiled = np.array([False, True] * reps, dtype=np.bool_)[:n]
-            columns[f.name] = tiled[g.permutation(n)]
-    return Design(factors=factors, columns=columns, seed=int(seed))
+        strata = g.permutation(n)
+        k, kind = f.kind, _KINDS[type(f.kind)]
+        if hasattr(k, "levels"):  # categorical, boolean
+            columns[f.name] = np.asarray(k.levels, dtype=kind.dtype)[strata % len(k.levels)]
+        else:  # continuous, integer
+            top = k.hi + 1 if kind.whole else k.hi
+            values = k.lo + (strata + g.random(n)) * (top - k.lo) / n
+            columns[f.name] = np.clip(np.floor(values), k.lo, k.hi) if kind.whole else values
+    return Design(factors=factors, columns=columns)
 
 
 @dataclass
@@ -207,24 +208,15 @@ def validate_design(design: Design) -> DesignValidation:
     """Report every cell outside its factor's domain as (row, factor, message)."""
     violations: list[tuple[int, str, str]] = []
     for f in design.factors:
-        col = design.columns[f.name]
-        k = f.kind
-        if isinstance(k, Continuous):
-            bad = np.nonzero(~((col >= k.lo) & (col <= k.hi)))[0]
-            for i in bad:
-                violations.append((int(i), f.name, f"value {col[i]!r} outside [{k.lo}, {k.hi}]"))
-        elif isinstance(k, Integer):
-            for i, v in enumerate(col):
-                if float(v) != int(v) or not (k.lo <= int(v) <= k.hi):
-                    violations.append((i, f.name, f"value {v!r} outside integer [{k.lo}, {k.hi}]"))
-        elif isinstance(k, Categorical):
-            for i, v in enumerate(col):
-                if v not in k.levels:
-                    violations.append((i, f.name, f"unknown level {v!r}"))
+        col, k = design.columns[f.name], f.kind
+        if hasattr(k, "levels"):
+            inside = np.isin(col, np.asarray(k.levels, dtype=col.dtype))
         else:
-            for i, v in enumerate(col):
-                if not isinstance(v, (bool, np.bool_)):
-                    violations.append((i, f.name, f"value {v!r} is not boolean"))
+            inside = (col >= k.lo) & (col <= k.hi)
+        outside = _KINDS[type(k)].outside
+        violations.extend(
+            (int(i), f.name, outside.format(v=col[i], k=k)) for i in np.flatnonzero(~inside)
+        )
     violations.sort()
     return DesignValidation(ok=not violations, violations=violations)
 
@@ -245,7 +237,6 @@ def read_design(path, factors: Sequence[FactorSpec]) -> Design:
 
     A cell that does not parse as its factor's kind, an Integer outside int64
     included, is a :class:`ParseError` at its line.
-    The CSV stores values only; the generation seed is not persisted.
     """
     factors = tuple(factors)
     validate_factors(factors)
@@ -260,41 +251,33 @@ def read_design(path, factors: Sequence[FactorSpec]) -> Design:
     _, n, block_cells, line_of = read_csv_tokens(path, check_header)
     columns: dict[str, np.ndarray] = {}
     for f, cells in zip(factors, block_cells(0, n) if n else [()] * len(factors)):
-        out = np.empty(n, dtype=_column_dtype(f.kind))
-        for i, cell in enumerate(cells):
-            try:
-                if isinstance(f.kind, Continuous):
-                    out[i] = float(cell)
-                elif isinstance(f.kind, Integer):
-                    out[i] = int(cell)
-                elif isinstance(f.kind, Boolean):
-                    if cell not in ("true", "false"):
-                        raise ValueError(cell)
-                    out[i] = cell == "true"
-                else:
-                    out[i] = cell
-            except (ValueError, OverflowError):
-                raise ParseError(
-                    f"unparsable cell {cell!r} for factor {f.name!r}", line=line_of(i)
-                ) from None
-        columns[f.name] = out
-    return Design(factors=factors, columns=columns, seed=None)
+        kind = _KINDS[type(f.kind)]
+        try:
+            columns[f.name] = np.fromiter(map(kind.parse, cells), kind.dtype, n)
+        except _BAD_CELL:
+            for i, cell in enumerate(cells):  # only on failure: name the first bad cell
+                try:
+                    np.fromiter((kind.parse(cell),), kind.dtype, 1)
+                except _BAD_CELL:
+                    raise ParseError(
+                        f"unparsable cell {cell!r} for factor {f.name!r}", line=line_of(i)
+                    ) from None
+    return Design(factors=factors, columns=columns)
 
 
 # -- factor-space JSON documents ---------------------------------------------
 
-_KIND_TAGS = {"continuous", "integer", "categorical", "boolean"}
 
-
-def _entry_value(entry: dict, name, key: str):
+def _field(entry: dict, name, key: str, whole: bool):
+    """Kind field ``key`` of a JSON entry: the levels, or a bound (whole if ``whole``)."""
     if key not in entry:
         raise DomainError(f"factor {name!r}: missing key {key!r}")
-    return entry[key]
-
-
-def _bound(entry: dict, name, key: str, whole: bool) -> float | int:
+    v = entry[key]
+    if key == "levels":
+        if not isinstance(v, list):
+            raise DomainError(f"factor {name!r}: 'levels' must be a list, got {v!r}")
+        return tuple(str(level) for level in v)
     # JSON numbers load as int or float; true/false load as bool, a subclass of int
-    v = _entry_value(entry, name, key)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DomainError(f"factor {name!r}: {key!r} must be a number, got {v!r}")
     if not whole:
@@ -322,36 +305,21 @@ def load_factors(source) -> list[FactorSpec]:
     for i, entry in enumerate(doc["factors"]):
         if not isinstance(entry, dict):
             raise DomainError(f"factor entry {i} must be an object, got {entry!r}")
-        name = entry.get("name")
-        tag = entry.get("kind")
-        if tag not in _KIND_TAGS:
+        name, tag = entry.get("name"), entry.get("kind")
+        cls = next((c for c, row in _KINDS.items() if row.tag == tag), None)
+        if cls is None:
             raise DomainError(f"factor {name!r}: unknown kind {tag!r}")
-        if tag in ("continuous", "integer"):
-            whole = tag == "integer"
-            lo, hi = (_bound(entry, name, key, whole) for key in ("lo", "hi"))
-            kind: FactorKind = Integer(lo, hi) if whole else Continuous(lo, hi)
-        elif tag == "categorical":
-            levels = _entry_value(entry, name, "levels")
-            if not isinstance(levels, list):
-                raise DomainError(f"factor {name!r}: 'levels' must be a list, got {levels!r}")
-            kind = Categorical(tuple(str(v) for v in levels))
-        else:
-            kind = Boolean()
+        whole = _KINDS[cls].whole
+        kind = cls(**{fld.name: _field(entry, name, fld.name, whole) for fld in fields(cls)})
         factors.append(FactorSpec(name=name, kind=kind))
     validate_factors(factors)
     return factors
 
 
 def dump_factors(factors: Sequence[FactorSpec]) -> dict:
-    out = []
-    for f in factors:
-        k = f.kind
-        if isinstance(k, Continuous):
-            out.append({"name": f.name, "kind": "continuous", "lo": k.lo, "hi": k.hi})
-        elif isinstance(k, Integer):
-            out.append({"name": f.name, "kind": "integer", "lo": k.lo, "hi": k.hi})
-        elif isinstance(k, Categorical):
-            out.append({"name": f.name, "kind": "categorical", "levels": list(k.levels)})
-        else:
-            out.append({"name": f.name, "kind": "boolean"})
-    return {"factors": out}
+    """The JSON document of ``factors``: each kind's tag and fields, tuples as lists."""
+    return {"factors": [
+        {"name": f.name, "kind": _KINDS[type(f.kind)].tag,
+         **{key: list(v) if isinstance(v, tuple) else v for key, v in asdict(f.kind).items()}}
+        for f in factors
+    ]}

@@ -28,11 +28,8 @@ _MASK64 = (1 << 64) - 1
 
 
 def splitmix64(z: int) -> int:
-    """One SplitMix64 output step (Steele, Lea & Flood 2014)."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    """One SplitMix64 output step (Steele, Lea & Flood 2014) of ``z mod 2^64``."""
+    return int(_splitmix64_words(np.array([z & _MASK64], dtype=np.uint64))[0])
 
 
 def stream_index(*indices: int) -> int:

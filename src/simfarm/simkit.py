@@ -213,7 +213,6 @@ def navsim_worker(args) -> int:
         design=Design(
             factors=tuple(navigation_factors()),
             columns={name: table.column(name) for name in ("speed", "altitude")},
-            seed=None,
         ),
         indices=table.index,
     )

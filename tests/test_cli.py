@@ -83,6 +83,11 @@ BAD_FACTOR_DOCUMENTS = [
     ({"name": "c", "kind": "categorical", "levels": 5}, "factor 'c': 'levels' must be a list"),
     ({"name": "c", "kind": "categorical"}, "factor 'c': missing key 'levels'"),
     ("speed", "factor entry 0 must be an object, got 'speed'"),
+    # the float64 draw is exact only within 2**53: past it, rows would leave [lo, hi]
+    ({"name": "n", "kind": "integer", "lo": 0, "hi": 2**70}, "factor 'n': integer 'hi' must lie"),
+    ({"name": "n", "kind": "integer", "lo": 0, "hi": 1e300}, "factor 'n': integer 'hi' must lie"),
+    ({"name": "n", "kind": "integer", "lo": 2**62 - 1000, "hi": 2**62 - 1},
+     "factor 'n': integer 'lo' must lie within [-2**53, 2**53], got 4611686018427386904"),
 ]
 
 

@@ -194,13 +194,19 @@ def assert_one_pass_matches_three_writers(tmp_path, design, results):
         assert (one / name).read_bytes() == (three / name).read_bytes(), name
 
 
-def campaign_factors():
-    return [
+def campaign_design(n: int, seed: int) -> Design:
+    """An LHS design whose integer column reaches 2**62, where %.17g and %d spell
+    a value apart.  lhs_design draws integers within 2**53 only, so the drawn
+    column is scaled by 512 and the design built directly."""
+    factors = [
         FactorSpec("x", Continuous(-1e-300, 1e300)),
-        FactorSpec("k", Integer(-5, 2**62)),  # past 2^53: %.17g and %d spell it apart
+        FactorSpec("k", Integer(-5, 2**53)),
         FactorSpec("mode", Categorical(LEVELS)),
         FactorSpec("armed", Boolean()),
     ]
+    drawn = lhs_design(factors, n, seed)
+    factors[1] = FactorSpec("k", Integer(-5 * 512 - 5, 2**62 - 5))
+    return Design(factors, dict(drawn.columns, k=drawn.column("k") * 512 - 5))  # odd values
 
 
 def mixed_runner(failed_chunk_start=None, echo=()):
@@ -228,25 +234,25 @@ def stop_after(rows: int):
 
 class TestCampaignCsvs:
     def test_early_stop_past_a_block_boundary(self, tmp_path):
-        design = lhs_design(campaign_factors(), N, seed=3)
+        design = campaign_design(N, seed=3)
         results, report = run_batches(design, mixed_runner(), stop_after(5000), 1000)
         assert report.rows_executed == 5000 and CSV_BLOCK_ROWS < 5000 < N
         assert_one_pass_matches_three_writers(tmp_path, design, results)
 
     @pytest.mark.parametrize("n", [1, 2, CSV_BLOCK_ROWS + 1])
     def test_whole_design_of_odd_sizes(self, tmp_path, n):
-        design = lhs_design(campaign_factors(), n, seed=4)
+        design = campaign_design(n, seed=4)
         results, _ = run_batches(design, mixed_runner(), None, 333)
         assert_one_pass_matches_three_writers(tmp_path, design, results)
 
     def test_stop_exactly_at_a_block_boundary(self, tmp_path):
-        design = lhs_design(campaign_factors(), N, seed=5)
+        design = campaign_design(N, seed=5)
         results, _ = run_batches(design, mixed_runner(), stop_after(CSV_BLOCK_ROWS), 1024)
         assert results.n_rows == CSV_BLOCK_ROWS
         assert_one_pass_matches_three_writers(tmp_path, design, results)
 
     def test_failed_chunk_is_written_with_empty_cells(self, tmp_path):
-        design = lhs_design(campaign_factors(), 3000, seed=6)
+        design = campaign_design(3000, seed=6)
         results, _ = run_batches(design, mixed_runner(failed_chunk_start=500), None, 500)
         assert not results.status[500:1000].any()
         assert np.isnan(results.column("y")[500:1000]).all()
@@ -254,13 +260,13 @@ class TestCampaignCsvs:
         assert "\n500,failed,,\n" in (tmp_path / "one" / "results.csv").read_text()
 
     def test_every_chunk_failed_leaves_no_result_columns(self, tmp_path):
-        design = lhs_design(campaign_factors(), 30, seed=6)
+        design = campaign_design(30, seed=6)
         results, _ = run_batches(design, mixed_runner(failed_chunk_start=0), stop_after(10), 10)
         assert results.column_names == [] and results.n_rows == 10
         assert_one_pass_matches_three_writers(tmp_path, design, results)
 
     def test_result_column_named_like_a_factor_takes_its_place(self, tmp_path):
-        design = lhs_design(campaign_factors(), 500, seed=8)
+        design = campaign_design(500, seed=8)
         results, _ = run_batches(design, mixed_runner(echo=("x",)), stop_after(300), 100)
         assert_one_pass_matches_three_writers(tmp_path, design, results)
         header = (tmp_path / "one" / "joined.csv").read_text().split("\n", 1)[0]
@@ -275,7 +281,8 @@ class TestCampaignCsvs:
 
     def test_numeric_factors_are_floats_in_joined_csv(self, tmp_path):
         factors = [FactorSpec("k", Integer(2**60, 2**61)), FactorSpec("armed", Boolean())]
-        design = lhs_design(factors, 4, seed=1)
+        k = np.array([2**60 + 1, 2**61 - 3, 2**60 + 2**55 + 7, 2**61 - 1])  # past 2**53
+        design = Design(factors, {"k": k, "armed": np.array([True, False, False, True])})
         results, _ = run_batches(design, mixed_runner(), None, 4)
         _write_campaign_csvs(design, results, tmp_path)
         design_row = (tmp_path / "design.csv").read_text().split("\n")[1].split(",")
@@ -285,7 +292,7 @@ class TestCampaignCsvs:
         assert joined_row[2:4] == ["%.17g" % float(k), "1" if armed else "0"]
 
     def test_rows_that_are_not_a_design_prefix_are_refused(self, tmp_path):
-        design = lhs_design(campaign_factors(), 20, seed=2)
+        design = campaign_design(20, seed=2)
         for index in ([1, 2, 3], [0, 2, 3], [2, 1, 0]):
             results = ResultTable(index=np.array(index), status=np.ones(3, dtype=bool))
             with pytest.raises(ContractViolationError, match="prefix"):

@@ -107,6 +107,19 @@ class TestLhsDesign:
         with pytest.raises(DomainError, match="duplicate"):
             lhs_design(dup, 3, seed=1)
 
+    def test_integer_bounds_past_2_53_rejected(self, tmp_path):
+        edge = [FactorSpec("n", Integer(-(2**53), 2**53))]
+        assert lhs_design(edge, 5, seed=1).column("n").dtype == np.int64
+        for lo, hi, key in [(0, 2**53 + 1, "hi"), (-(2**53) - 1, 0, "lo"), (2**62 - 9, 2**62, "lo")]:
+            bad = [FactorSpec("n", Integer(lo, hi))]
+            message = f"factor 'n': integer '{key}' must lie within"
+            with pytest.raises(DomainError, match=message):
+                lhs_design(bad, 3, seed=1)
+            with pytest.raises(DomainError, match=message):
+                read_design(tmp_path / "never-read.csv", bad)
+            with pytest.raises(DomainError, match=message):
+                load_factors(dump_factors(bad))
+
     def test_duplicate_levels_rejected(self):
         with pytest.raises(DomainError):
             lhs_design([FactorSpec("c", Categorical(("A", "A")))], 3, seed=1)
@@ -212,7 +225,7 @@ class TestDesignIo:
     def test_mixed_design_roundtrips_across_a_block_boundary(self, tmp_path):
         factors = [
             FactorSpec("x", Continuous(-1e300, 1e300)),
-            FactorSpec("count", Integer(-(2**62), 2**62)),
+            FactorSpec("count", Integer(-(2**53), 2**53)),
             FactorSpec("mode", Categorical(("A", "b,c", 'say "hi"', "two\nlines", ""))),
             FactorSpec("flag", Boolean()),
         ]
