@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -77,13 +78,15 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    Continuous: _Kind("continuous", np.float64, float, False, "value {v!r} outside [{k.lo}, {k.hi}]"),
-    Integer: _Kind("integer", np.int64, int, True, "value {v!r} outside integer [{k.lo}, {k.hi}]"),
+    Continuous: _Kind("continuous", np.float64, float, False,
+                      "value {v!r} outside [{k.lo}, {k.hi}]"),
+    Integer: _Kind("integer", np.int64, lambda s: np.int64(int(s)), True,  # int64 or OverflowError
+                   "value {v!r} outside integer [{k.lo}, {k.hi}]"),
     Categorical: _Kind("categorical", object, str, False, "unknown level {v!r}"),
     Boolean: _Kind("boolean", np.bool_, {"true": True, "false": False}.__getitem__, False,
                    "value {v!r} is not boolean"),
 }
-_BAD_CELL = (ValueError, OverflowError, KeyError)  # what a parser or the dtype raises
+_BAD_CELL = (ValueError, OverflowError, KeyError)  # what a cell parser raises
 
 
 @dataclass(frozen=True)
@@ -249,19 +252,19 @@ def read_design(path, factors: Sequence[FactorSpec]) -> Design:
             raise ParseError(f"header {header!r} does not match factor names {expected!r}", line=1)
 
     _, n, block_cells, line_of = read_csv_tokens(path, check_header)
-    columns: dict[str, np.ndarray] = {}
-    for f, cells in zip(factors, block_cells(0, n) if n else [()] * len(factors)):
-        kind = _KINDS[type(f.kind)]
+
+    def parse(f: FactorSpec, i: int, cell: str):
         try:
-            columns[f.name] = np.fromiter(map(kind.parse, cells), kind.dtype, n)
+            return _KINDS[type(f.kind)].parse(cell)
         except _BAD_CELL:
-            for i, cell in enumerate(cells):  # only on failure: name the first bad cell
-                try:
-                    np.fromiter((kind.parse(cell),), kind.dtype, 1)
-                except _BAD_CELL:
-                    raise ParseError(
-                        f"unparsable cell {cell!r} for factor {f.name!r}", line=line_of(i)
-                    ) from None
+            raise ParseError(
+                f"unparsable cell {cell!r} for factor {f.name!r}", line=line_of(i)
+            ) from None
+
+    columns = {
+        f.name: np.fromiter(map(parse, repeat(f), range(n), cells), _KINDS[type(f.kind)].dtype, n)
+        for f, cells in zip(factors, block_cells(0, n) if n else [()] * len(factors))
+    }
     return Design(factors=factors, columns=columns)
 
 
