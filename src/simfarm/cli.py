@@ -60,8 +60,8 @@ from .models import (
     smote,
     train,
 )
+from .models.preprocess import class_codes, regression_targets
 from .models.spec import FAMILIES as MODEL_FAMILIES
-from .models.train import class_codes, regression_targets
 from .tables import (
     RESERVED_INDEX,
     RESERVED_STATUS,
@@ -367,6 +367,8 @@ def _cmd_model_train(args) -> int:
     columns = _load_columns(args.data)
     features, y, class_labels = _split_features_target(columns, args.target, args.task)
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise InvalidArgumentError(f"--params must be a JSON object, got {args.params}")
     prep = fit_preprocessor(features)
     matrix = prep.transform(features).matrix
     spec = ModelSpec(family=args.family, task=args.task, params=params)
@@ -449,9 +451,9 @@ def _cmd_geo(args) -> int:
 
 
 def _cmd_casestudy(args) -> int:
+    params = simkit.calibrate(noise_sigma=args.noise)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = simkit.calibrate(noise_sigma=args.noise)
     factors = simkit.navigation_factors()
     design = lhs_design(factors, args.n, args.seed)
     runner = simkit.navsim_runner(params=params, seed=args.seed)

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import TrainingError
 from ..rng import substream
+from .preprocess import fit_data, majority
 from .tree import CartTree, grow_trees
 
 __all__ = ["RandomForest"]
@@ -42,17 +43,9 @@ class RandomForest:
         self.classes_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "RandomForest":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if len(X) < 2:
-            raise TrainingError("need at least 2 training rows")
-        n_classes = 0
-        if self.task == "classification":
-            self.classes_ = np.unique(y)
-            if len(self.classes_) < 2:
-                raise TrainingError("classification needs at least 2 classes")
-            y = np.searchsorted(self.classes_, y)
-            n_classes = len(self.classes_)
+        X, y, self.classes_ = fit_data(self.task, X, y)
+        n_classes = 0 if self.classes_ is None else len(self.classes_)
+        y = np.searchsorted(self.classes_, y) if n_classes else y
         streams = [substream(seed, t) for t in range(self.n_trees)]
         samples = np.empty((self.n_trees, len(X)), dtype=np.int64)
         for rng, sample in zip(streams, samples):
@@ -80,11 +73,7 @@ class RandomForest:
         votes = np.stack([tree.predict(X) for tree in self.trees])
         if self.task == "regression":
             return votes.mean(axis=0)
-        k = len(self.classes_)
-        n = votes.shape[1]
-        cells = np.arange(n) * k + np.searchsorted(self.classes_, votes)
-        counts = np.bincount(cells.ravel(), minlength=n * k).reshape(n, k)
-        return self.classes_[np.argmax(counts, axis=1)]  # ties to the smallest label
+        return majority(self.classes_, votes.T)
 
     def to_state(self) -> dict:
         return {

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
+from .preprocess import fit_data
 
 __all__ = ["RidgeRegressor"]
 
@@ -26,12 +27,7 @@ class RidgeRegressor:
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "RidgeRegressor":
         """Solve for the coefficients; the fit is deterministic, so ``seed`` is ignored."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2 or len(X) != len(y):
-            raise TrainingError("X must be 2-D and aligned with y")
-        if len(X) < 2:
-            raise TrainingError("need at least 2 training rows")
+        X, y, _ = fit_data("regression", X, y)
         n, p = X.shape
         xb = np.hstack([X, np.ones((n, 1))])
         gram = xb.T @ xb

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import TrainingError
 from ..rng import substream
+from .preprocess import fit_data
 
 __all__ = ["MlpModel"]
 
@@ -124,17 +125,11 @@ class MlpModel:
             loss = float(np.mean((out - target) ** 2))
         else:
             loss = float(-np.mean(np.sum(target * np.log(_softmax(out) + 1e-12), axis=1)))
-        return (loss, *self._gradients(acts, target))
-
-    def _gradients(self, acts: list[np.ndarray], target: np.ndarray):
-        """Gradients of the mean loss for every weight and bias, from ``_forward``'s output."""
         grads_w, grads_b = _backward_pass(self.task, acts, target, self.weights)
-        return grads_w, [g[0] for g in grads_b]
+        return loss, grads_w, [g[0] for g in grads_b]
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "MlpModel":
-        weights, biases = self._train(
-            np.asarray(X, dtype=np.float64)[None], np.asarray(y)[None], seed
-        )
+        weights, biases = self._train(np.asarray(X)[None], np.asarray(y)[None], seed)
         self.weights = [w[0] for w in weights]
         self.biases = [b[0, 0] for b in biases]
         return self
@@ -146,9 +141,8 @@ class MlpModel:
         starts from the same weights and sees the same batch order.  In
         classification all problems must hold the same set of classes.
         """
-        X = np.asarray(X, dtype=np.float64)
         trainer = copy.copy(self)
-        weights, biases = trainer._train(X, np.asarray(y), seed)
+        weights, biases = trainer._train(X, y, seed)
         models = []
         for k in range(len(X)):
             model = copy.copy(trainer)
@@ -160,21 +154,16 @@ class MlpModel:
     def _train(self, X: np.ndarray, y: np.ndarray, seed: int):
         """SGD on stacked problems; returns weights (K, a, b) and biases (K, 1, b).
 
-        Sets ``classes_`` and leaves the initial weights in ``weights``.
+        Each problem ``(X[k], y[k])`` goes through ``fit_data``.  Sets
+        ``classes_`` and leaves the initial weights in ``weights``.
         """
+        problems = [fit_data(self.task, x, yk) for x, yk in zip(X, y, strict=True)]
+        self.classes_ = problems[0][2]
+        if any(not np.array_equal(p[2], self.classes_) for p in problems[1:]):
+            raise TrainingError("stacked problems must hold the same classes")
+        X, y = (np.stack([p[j] for p in problems]) for j in (0, 1))
         n_problems, n, n_in = X.shape
-        if n < 2:
-            raise TrainingError("need at least 2 training rows")
-        if self.task == "classification":
-            self.classes_ = np.unique(y[0])
-            if len(self.classes_) < 2:
-                raise TrainingError("classification needs at least 2 classes")
-            if any(not np.array_equal(np.unique(yk), self.classes_) for yk in y[1:]):
-                raise TrainingError("stacked problems must hold the same classes")
-            n_out = len(self.classes_)
-        else:
-            n_out = 1
-        self._init_params(n_in, n_out, seed)
+        self._init_params(n_in, 1 if self.classes_ is None else len(self.classes_), seed)
         weights = [np.repeat(w[None], n_problems, axis=0) for w in self.weights]
         biases = [np.repeat(b[None, None], n_problems, axis=0) for b in self.biases]
         target = np.stack([self._encode_targets(yk) for yk in y])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
+from .preprocess import fit_data, majority
 
 __all__ = ["KnnModel"]
 
@@ -28,18 +29,10 @@ class KnnModel:
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "KnnModel":
         """Store the training rows; the fit is deterministic, so ``seed`` is ignored."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        if len(X) < 2:
-            raise TrainingError("need at least 2 training rows")
+        X, y, self.classes_ = fit_data(self.task, X, y)
         if self.k > len(X):
             raise TrainingError(f"k = {self.k} exceeds training size {len(X)}")
-        if self.task == "classification":
-            self.classes_ = np.unique(y)
-            if len(self.classes_) < 2:
-                raise TrainingError("classification needs at least 2 classes")
-        self._X = X
-        self._y = y
+        self._X, self._y = X, y
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -54,11 +47,8 @@ class KnnModel:
             d2 = ((block[:, None, :] - self._X[None, :, :]) ** 2).sum(axis=2)
             nearest[start : start + step] = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         if self.task == "regression":
-            return self._y[nearest].astype(np.float64).mean(axis=1)
-        c = len(self.classes_)
-        cells = np.arange(len(X))[:, None] * c + np.searchsorted(self.classes_, self._y[nearest])
-        counts = np.bincount(cells.ravel(), minlength=len(X) * c).reshape(-1, c)
-        return self.classes_[np.argmax(counts, axis=1)]  # ties to the smallest label
+            return self._y[nearest].mean(axis=1)
+        return majority(self.classes_, self._y[nearest])
 
     def to_state(self) -> dict:
         return {
@@ -73,11 +63,7 @@ class KnnModel:
     def from_state(cls, state: dict) -> "KnnModel":
         model = cls(k=state["k"], task=state["task"])
         model._X = np.asarray(state["X"], dtype=np.float64)
-        y = np.asarray(state["y"])
-        if state["task"] == "classification":
-            y = y.astype(np.int64)
+        if state["classes"] is not None:
             model.classes_ = np.asarray(state["classes"], dtype=np.int64)
-        else:
-            y = y.astype(np.float64)
-        model._y = y
+        model._y = np.asarray(state["y"], dtype=np.float64 if model.classes_ is None else np.int64)
         return model

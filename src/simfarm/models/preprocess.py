@@ -7,6 +7,9 @@ encoded to enter the numeric feature matrix.  The statistics are learned from
 the fit table and frozen into the :class:`FittedPreprocessor`; applying it to
 new data can never change how earlier data transforms (no leakage).  Unseen
 levels map to an all-zero block and are flagged in the transform metadata.
+
+Every model family's ``fit`` starts with :func:`fit_data`, the one check of
+its training data; :func:`majority` is the class vote of kNN and forests.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateSampleError, InvalidArgumentError, ModelFormatError
+from ..errors import DegenerateSampleError, InvalidArgumentError, ModelFormatError, TrainingError
 from ..tables import DataColumn
 
-__all__ = ["TransformResult", "FittedPreprocessor", "fit_preprocessor"]
+__all__ = ["TransformResult", "FittedPreprocessor", "fit_preprocessor", "fit_data", "class_codes",
+           "regression_targets", "majority"]
 
 # Each kind's rule as a saved model spells it.
 _RULES = {
@@ -148,3 +152,77 @@ def fit_preprocessor(table: list[DataColumn]) -> FittedPreprocessor:
             mode = max(levels, key=count_of.__getitem__)
             stats[name] = _ColumnStats(kind="categorical", impute_value=mode, levels=levels)
     return FittedPreprocessor(order=list(by_name), stats=stats)
+
+
+def class_codes(values: np.ndarray, name: str) -> np.ndarray:
+    """Numeric class labels as int64; each must be a finite whole number.
+
+    Raises ``InvalidArgumentError`` naming ``name`` for a dtype that is not
+    numeric (text, object) and at the first bad row, where a plain cast would
+    truncate 1.6 to 1 and turn NaN into a garbage class.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return values.astype(np.int64)
+    if values.dtype.kind != "f":
+        raise InvalidArgumentError(
+            f"classification target {name!r} must be numeric, not dtype {values.dtype}"
+        )
+    bad = ~(np.isfinite(values) & (np.trunc(values) == values) & (np.abs(values) < 2.0**63))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidArgumentError(
+            f"classification target {name!r} must hold whole-number class labels; "
+            f"row {row} holds {float(values[row])!r}"
+        )
+    return values.astype(np.int64)
+
+
+def regression_targets(values: np.ndarray, name: str) -> np.ndarray:
+    """Regression targets as float64; each must be finite.
+
+    Raises ``InvalidArgumentError`` naming ``name`` and the first bad row,
+    where a missing value would train every fold on NaN and save a NaN model.
+    """
+    y = np.asarray(values).astype(np.float64)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidArgumentError(
+            f"regression target {name!r} must hold finite numbers; row {row} holds {float(y[row])!r}"
+        )
+    return y
+
+
+def fit_data(task: str, X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(X, y, classes)`` as every model family's ``fit`` takes them.
+
+    ``X`` becomes a float64 matrix of at least 2 rows aligned with the 1-D
+    ``y``.  A regression ``y`` goes through :func:`regression_targets` and
+    ``classes`` is None; a classification ``y`` goes through
+    :func:`class_codes` and ``classes`` is its sorted int64 labels, at least 2.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        raise TrainingError("X must be a 2-D matrix aligned with y")
+    if len(X) < 2:
+        raise TrainingError("need at least 2 training rows")
+    if task != "classification":
+        return X, regression_targets(y, "y"), None
+    y = class_codes(y, "y")
+    classes = np.unique(y)
+    if len(classes) < 2:
+        raise TrainingError("classification needs at least 2 classes in y")
+    return X, y, classes
+
+
+def majority(classes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The most common label of each row of ``labels`` (n, votes); ties go to the smallest.
+
+    Every label must be one of the sorted ``classes``.
+    """
+    n, c = len(labels), len(classes)
+    cells = np.arange(n)[:, None] * c + np.searchsorted(classes, labels)
+    counts = np.bincount(cells.ravel(), minlength=n * c).reshape(n, c)
+    return classes[np.argmax(counts, axis=1)]

@@ -5,7 +5,8 @@ either concrete values or sampling ranges (:class:`FloatRange`,
 :class:`IntRange`, :class:`Choice`).  ``random_search_cv`` samples ranges
 uniformly (log-uniformly when flagged); ``train`` requires every
 hyperparameter to be fixed.  ``_TABLE`` holds each family's model class,
-default search space (its keys are the allowed hyperparameters) and tasks.
+default search space (its keys are the allowed hyperparameters) and tasks;
+a fixed value must have the type its space entry draws.
 """
 
 from __future__ import annotations
@@ -116,6 +117,26 @@ FAMILIES = tuple(_TABLE)
 MODEL_CLASSES = {name: family.model for name, family in _TABLE.items()}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _misfit(entry, value) -> str | None:
+    """What a fixed ``value`` of the space ``entry`` must be, or None if it is that."""
+    if isinstance(entry, FloatRange):
+        try:
+            real = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past the float range
+            real = False
+        return None if real else "a finite real number"
+    if isinstance(entry, Choice) and isinstance(entry.options[0], tuple):  # layer sizes
+        layers = isinstance(value, (list, tuple)) and all(map(_is_int, value))
+        return None if _is_int(value) or layers else "an integer or a list of integers"
+    if isinstance(entry, (IntRange, Choice)):  # integer options
+        return None if _is_int(value) else "an integer"
+    return None if type(value) is type(entry) else f"a {type(entry).__name__}"
+
+
 @dataclass
 class ModelSpec:
     family: str
@@ -137,6 +158,10 @@ class ModelSpec:
                 )
             if isinstance(value, (FloatRange, IntRange, Choice)):
                 value.validate(name)
+            elif want := _misfit(family.space[name], value):
+                raise ModelSpecError(
+                    f"{self.family} hyperparameter {name!r} must be {want}, got {value!r}"
+                )
 
     def is_fixed(self) -> bool:
         return not any(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
+from .preprocess import fit_data
 
 __all__ = ["CartTree", "feature_draws", "grow_trees"]
 
@@ -441,19 +442,9 @@ class CartTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "CartTree":
         """Grow the tree; the fit is deterministic, so ``seed`` is ignored."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or len(X) != len(y):
-            raise TrainingError("X must be 2-D and aligned with y")
-        if len(X) < 2:
-            raise TrainingError("need at least 2 training rows")
-        n_classes = 0
-        if self.task == "classification":
-            y = np.asarray(y)
-            self.classes_ = np.unique(y)
-            if len(self.classes_) < 2:
-                raise TrainingError("classification needs at least 2 classes")
-            y = np.searchsorted(self.classes_, y)
-            n_classes = len(self.classes_)
+        X, y, self.classes_ = fit_data(self.task, X, y)
+        n_classes = 0 if self.classes_ is None else len(self.classes_)
+        y = np.searchsorted(self.classes_, y) if n_classes else y
         (nodes,) = grow_trees(X, y, np.arange(len(X))[None], max_depth=self.max_depth,
                               min_leaf=self.min_leaf, n_classes=n_classes)
         return self.set_nodes(nodes)

@@ -68,8 +68,8 @@ class FuelModelParams:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise DomainError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise DomainError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def density_ratio(altitude_ft):

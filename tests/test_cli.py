@@ -340,6 +340,40 @@ class TestModelCommands:
         assert code == 0
         assert json.loads(model_path.read_text())["family"] == "cart_tree"
 
+    @pytest.mark.parametrize("family,params,message", [
+        ("knn", "[1]", "--params must be a JSON object, got [1]"),
+        ("knn", '"str"', '--params must be a JSON object, got "str"'),
+        ("mlp", '{"hidden": "abc"}',
+         "mlp hyperparameter 'hidden' must be an integer or a list of integers, got 'abc'"),
+        ("linear_ridge", '{"lam": "x"}',
+         "linear_ridge hyperparameter 'lam' must be a finite real number, got 'x'"),
+        ("cart_tree", '{"max_depth": null}',
+         "cart_tree hyperparameter 'max_depth' must be an integer, got None"),
+        ("random_forest", '{"max_depth": null}',
+         "random_forest hyperparameter 'max_depth' must be an integer, got None"),
+        ("knn", '{"k": 2.5}', "knn hyperparameter 'k' must be an integer, got 2.5"),
+        ("knn", '{"k": true}', "knn hyperparameter 'k' must be an integer, got True"),
+        ("random_forest", '{"bootstrap": 1}',
+         "random_forest hyperparameter 'bootstrap' must be a bool, got 1"),
+        ("mlp", '{"batch_size": [16]}',
+         "mlp hyperparameter 'batch_size' must be an integer, got [16]"),
+        pytest.param("linear_ridge", '{"lam": 1%s}' % ("0" * 400),
+                     f"linear_ridge hyperparameter 'lam' must be a finite real number, "
+                     f"got 1{'0' * 400}", id="linear_ridge-lam-past-the-float-range"),
+        ("mlp", '{"learning_rate": Infinity}',
+         "mlp hyperparameter 'learning_rate' must be a finite real number, got inf"),
+    ])
+    def test_train_bad_params_exit_2(self, tmp_path, capsys, regression_csv, family, params,
+                                     message):
+        model_path = tmp_path / "model.json"
+        code = run_cli(
+            "model", "train", "--data", str(regression_csv), "--target", "y",
+            "--task", "regression", "--family", family, "--params", params,
+            "--out", str(model_path),
+        )
+        assert (code, capsys.readouterr().err) == (2, f"simfarm: error: {message}\n")
+        assert not model_path.exists()
+
     def test_classification_with_string_labels(self, tmp_path):
         g = substream(2, 0)
         n = 80
@@ -518,6 +552,15 @@ class TestNavsimWorker:
         assert proc.stderr.startswith("simfarm: error: chunk CSV ")
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_worker_bad_noise_sigma_exits_2(self, tmp_path, capsys, noise):
+        chunk = tmp_path / "in.csv"
+        chunk.write_text("_index,speed,altitude\n0,400,20000\n")
+        out = tmp_path / "results.csv"
+        assert run_cli("navsim-worker", str(chunk), str(out), "--noise", noise) == 2
+        assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCaseStudyCommand:
     def test_small_pipeline(self, tmp_path):
@@ -538,6 +581,15 @@ class TestCaseStudyCommand:
             assert (out / name).exists()
         doc = json.loads((out / "casestudy_report.json").read_text())
         assert doc["rows_executed"] == 400
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_bad_noise_sigma_exits_2_before_writing(self, tmp_path, capsys, noise):
+        out = tmp_path / "cs"
+        code = run_cli("casestudy", "navigation", "--out", str(out), "--n", "100",
+                       "--noise", noise)
+        assert code == 2
+        assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
 
 class TestExitCodes:

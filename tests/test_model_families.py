@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from simfarm.cli import dispatch
-from simfarm.errors import ModelSpecError, TrainingError
+from simfarm.errors import InvalidArgumentError, ModelSpecError, TrainingError
 from simfarm.models import ModelSpec, default_spec, load_model, save_model, train
 from simfarm.models.linear import RidgeRegressor
 from simfarm.models.serialize import model_to_dict
@@ -78,6 +78,49 @@ def test_train_is_one_fold_of_train_folds(family, task):
     alone = train(spec, x, y, seed=9)
     folded = next(train_folds(spec, [x], [y], seed=9))
     assert json.dumps(model_to_dict(alone)) == json.dumps(model_to_dict(folded))
+
+
+X6 = np.arange(12.0).reshape(6, 2)
+# (task, or None for both; X; y; the error and message every family's fit raises)
+REFUSED = {
+    "one row": (None, X6[:1], np.array([0]), TrainingError, "need at least 2 training rows"),
+    "misaligned": (None, X6, np.array([0, 1] * 2 + [0]), TrainingError, "aligned with y"),
+    "3-D X": (None, X6[:, :, None], np.array([0, 1] * 3), TrainingError, "aligned with y"),
+    "one class": ("classification", X6, np.ones(6, dtype=np.int64), TrainingError,
+                  "at least 2 classes"),
+    "fractional labels": ("classification", X6, np.array([0.5, 2.5] * 3), InvalidArgumentError,
+                          "whole-number class labels; row 0 holds 0.5"),
+    "string labels": ("classification", X6, np.array(["a", "b"] * 3), InvalidArgumentError,
+                      "must be numeric"),
+    "NaN target": ("regression", X6, np.array([0.0, 1.0, np.nan, 1.0, 0.0, 1.0]),
+                   InvalidArgumentError, "finite numbers; row 2 holds nan"),
+    "inf target": ("regression", X6, np.array([0.0, np.inf, 1.0, 1.0, 0.0, 1.0]),
+                   InvalidArgumentError, "finite numbers; row 1 holds inf"),
+}
+
+
+@pytest.mark.parametrize("family,task,case", [
+    (f, t, case) for f, t in SUPPORTED for case, (only, *_) in REFUSED.items() if only in (None, t)
+])
+def test_direct_fit_refuses_what_train_refuses(family, task, case):
+    _, x, y, error, message = REFUSED[case]
+    with pytest.raises(error, match=message):
+        MODEL_CLASSES[family](task=task, **FIXED[family]).fit(x, y)
+    with pytest.raises(error, match=message):
+        train(ModelSpec(family, task, FIXED[family]), x, y)
+
+
+@pytest.mark.parametrize("family,task", SUPPORTED)
+def test_a_reloaded_model_predicts_what_the_fitted_one_does(family, task):
+    x, y = data_for(task, seed=6)
+    if task == "classification":  # whole-number float labels that are not 0..C-1
+        y = np.array([-3.0, 4.0, 9.0])[np.digitize(x[:, 0] + x[:, 1], [-0.5, 0.5])]
+    model = MODEL_CLASSES[family](task=task, **FIXED[family]).fit(x, y, seed=1)
+    state = json.loads(json.dumps(model.to_state()))
+    got, again = model.predict(x), MODEL_CLASSES[family].from_state(state).predict(x)
+    assert (got.dtype, got.tobytes()) == (again.dtype, again.tobytes())
+    if task == "classification":
+        assert got.dtype == np.int64 and set(got.tolist()) <= {-3, 4, 9}
 
 
 @pytest.mark.parametrize("family", [f for f in FAMILIES if not hasattr(MODEL_CLASSES[f], "fit_stack")])

@@ -3,9 +3,10 @@
 The digests pin every CSV, SVG and report the ``casestudy`` and ``run``
 commands write, and every saved model, CV report and prediction CSV that
 ``model train``, ``model search`` and ``model predict`` write on a mixed
-table, so a change to a writer, a formatter, the simulator, the preprocessor
-or a model family that alters any output byte fails here.  Reports are hashed with their timing
-field (``chunk_seconds``) removed, as canonical JSON.  A digest may change
+table and on a table of numeric class labels, so a change to a writer, a
+formatter, the simulator, the preprocessor or a model family that alters any
+output byte fails here.  Reports are hashed with their timing field
+(``chunk_seconds``) removed, as canonical JSON.  A digest may change
 only together with a deliberate, documented change of the output format.
 """
 
@@ -111,13 +112,11 @@ def write_mixed_table(path, n, seed, unseen_level=None):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def model_outputs(out) -> dict[str, str]:
-    """Train, search and predict every family and task; digest of each file."""
-    write_mixed_table(out / "fit.csv", 300, 3)
-    write_mixed_table(out / "new.csv", 50, 4, unseen_level="unseen")
+def model_outputs(out, tasks, fit_csv, new_csv) -> dict[str, str]:
+    """Train, search and predict each ``(family, task, target)``; digest of each file."""
     written = []
-    for family, task, target in MODEL_TASKS:
-        common = ["--data", str(out / "fit.csv"), "--target", target, "--task", task,
+    for family, task, target in tasks:
+        common = ["--data", str(fit_csv), "--target", target, "--task", task,
                   "--family", family, "--seed", "2"]
         stem = f"{family}-{task}"
         assert dispatch(["model", "train", *common, "--out", str(out / f"train-{stem}.json")]) == 0
@@ -130,7 +129,7 @@ def model_outputs(out) -> dict[str, str]:
         for kind in ("train", "search"):
             assert dispatch([
                 "model", "predict", "--model", str(out / f"{kind}-{stem}.json"),
-                "--data", str(out / "new.csv"), "--out", str(out / f"{kind}-{stem}.pred.csv"),
+                "--data", str(new_csv), "--out", str(out / f"{kind}-{stem}.pred.csv"),
             ]) == 0
             written.append(f"{kind}-{stem}.pred.csv")
     return {name: file_digest(out / name) for name in written}
@@ -186,4 +185,56 @@ MODEL_DIGESTS = {
 
 
 def test_model_outputs_on_a_mixed_table_are_byte_identical(tmp_path):
-    assert model_outputs(tmp_path) == MODEL_DIGESTS
+    write_mixed_table(tmp_path / "fit.csv", 300, 3)
+    write_mixed_table(tmp_path / "new.csv", 50, 4, unseen_level="unseen")
+    got = model_outputs(tmp_path, MODEL_TASKS, tmp_path / "fit.csv", tmp_path / "new.csv")
+    assert got == MODEL_DIGESTS
+
+
+# A table of two numeric features and a numeric class column whose labels are
+# -3, 4 and 9, not the codes 0..C-1 that a text label column becomes, so the
+# digests pin the ``classes`` field a saved model keeps for such labels.
+CODE_LABELS = (-3, 4, 9)
+CODE_TASKS = tuple((family, "classification", "code")
+                   for family in ("knn", "cart_tree", "random_forest", "mlp"))
+
+
+def write_code_label_table(path, n, seed):
+    g = np.random.default_rng(seed)
+    x1 = g.normal(0.0, 1.0, n)
+    x2 = g.uniform(-1.0, 1.0, n)
+    code = np.asarray(CODE_LABELS)[np.digitize(x1 + x2 + g.normal(0.0, 0.3, n), [-0.5, 0.5])]
+    lines = ["x1,x2,code"]
+    lines += [f"{float(a)!r},{float(b)!r},{int(c)}" for a, b, c in zip(x1, x2, code)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+CODE_DIGESTS = {
+    "search-cart_tree-classification.cv.json": "21940d74a9d91a87d4c79a8160b3e15ce0c93328a991cfd1d00b353519b1d171",
+    "search-cart_tree-classification.json": "e05e17cdd218df0f77a1015a0983f9c0e28b72f8a12f23fe2233e8029fd547cb",
+    "search-cart_tree-classification.pred.csv": "7852ffec67078936f3445e67394fd57a96e161b291615265d5cda7fda5ea5ecf",
+    "search-knn-classification.cv.json": "cd13693589dffd5be733789412c51353123dc0322ce12ec3a788395ad4c04726",
+    "search-knn-classification.json": "04492e80c7ab12422fa4c16076f854fdb629ae0412ba885328378cadf4ab0e5d",
+    "search-knn-classification.pred.csv": "c9ad6efe27af78f03e47e2010bb858445558b0218bf09f92f4aaaea58141f423",
+    "search-mlp-classification.cv.json": "b28467b82e464169f9e6ea8ef23eb744f584fb275b7a65f788a88537319e2985",
+    "search-mlp-classification.json": "b9132ca953bd12fb3b91b8bd87947916b5932a0d720cf75985544dd1ff689796",
+    "search-mlp-classification.pred.csv": "1ed448a693f078872f90acee794f366223f0c85c913e194712b816a4d35a3475",
+    "search-random_forest-classification.cv.json": "55bccbf1d37d1e8829dc2d6d1195daf63035a042a9805bdffb77baa68621df0c",
+    "search-random_forest-classification.json": "986f595eccacb73e658fa3e875611b430564a6350399b782b02f2c06f8644a93",
+    "search-random_forest-classification.pred.csv": "c2dc5bc7dfda39ad616e1f732a4552c58ebb126e5fa65f735b66f32e8cf8eced",
+    "train-cart_tree-classification.json": "b85a90f669bcd341bb20443125de995d1f1ad5e7c74fab52aff071e9669deb4f",
+    "train-cart_tree-classification.pred.csv": "3cc2fe34661bafd61ba4b2a60591e54ff828b69b57d72a5afb3be4dfa1055c96",
+    "train-knn-classification.json": "3e63fe084a0ffb881ff4b0fe278e165848f495eaca28344c2a4b975a5068f7d6",
+    "train-knn-classification.pred.csv": "c9ad6efe27af78f03e47e2010bb858445558b0218bf09f92f4aaaea58141f423",
+    "train-mlp-classification.json": "463c02a3faf5cb4850b7e7e9ccfbaba154df67213484aba264ce9bca5c2440f4",
+    "train-mlp-classification.pred.csv": "d9f981e391b8d73cd6d7ac08400382850b37d042d48d1cfb2f2ab83b1713be3f",
+    "train-random_forest-classification.json": "d41085628f5e5d40b6716d81602160f56c5b58a100bf6ac8afa2370705af2efe",
+    "train-random_forest-classification.pred.csv": "34240c4e695dcbe041bb8cdff71cfeb151bd88ecbf7614e3487591dd375375dd",
+}
+
+
+def test_model_outputs_on_numeric_class_labels_are_byte_identical(tmp_path):
+    write_code_label_table(tmp_path / "fit.csv", 200, 5)
+    write_code_label_table(tmp_path / "new.csv", 50, 6)
+    got = model_outputs(tmp_path, CODE_TASKS, tmp_path / "fit.csv", tmp_path / "new.csv")
+    assert got == CODE_DIGESTS

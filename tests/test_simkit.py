@@ -112,6 +112,11 @@ class TestRunnerContract:
             table_a.column("fuel_consumed")[5:], table_b.column("fuel_consumed")
         )
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(DomainError, match="noise_sigma must be finite and >= 0"):
+            simkit.calibrate(noise_sigma=sigma)
+
     def test_noise_has_median_one(self):
         noisy = simkit.calibrate(noise_sigma=0.2)
         base = simkit.calibrate()
