@@ -62,6 +62,7 @@ from .models import (
 )
 from .models.preprocess import class_codes, regression_targets
 from .models.spec import FAMILIES as MODEL_FAMILIES
+from .schema import ANY, TEXT, Rule, check, either, fail, integer, obj, real
 from .tables import (
     RESERVED_INDEX,
     RESERVED_STATUS,
@@ -115,41 +116,32 @@ def _cmd_doe(args) -> int:
 # -- run -------------------------------------------------------------------------
 
 
-def _require(ok: bool, key: str, what: str, value) -> None:
-    # JSON values load as exactly int, float, str, bool, list, dict or None, so
-    # ``type(v) is int`` tells an integer from true/false, which isinstance does not.
-    if not ok:
-        raise ConfigurationError(f"experiment config {key!r} must be {what}, got {value!r}")
+def _command(value, path):
+    # a bad item is reported as the whole command, which says what a command must be
+    if not (isinstance(value, list) and value and all(isinstance(c, str) for c in value)):
+        fail(path, "a non-empty list of strings", value)
+    return value
+
+
+_EXPERIMENT = obj(
+    {"factors": TEXT, "n": integer(), "seed": integer(), "chunk_size": integer(ge=1),
+     "out_dir": TEXT,
+     "runner": either(TEXT, obj({"command": Rule("a non-empty list of strings", _command)}))},
+    {"runner_options": obj(rest=ANY),  # the built-in runner's factory checks their names
+     "criterion": obj({"metric": TEXT, "epsilon": real(gt=0)}, {"floor": real(gt=0)})},
+)
 
 
 def _load_experiment(path) -> dict:
-    """Read an experiment config and check every key's JSON type before it is used."""
+    """Read an experiment config and check it against ``_EXPERIMENT`` before it is used."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("experiment config must be a JSON object")
-    for key in ("factors", "n", "seed", "runner", "chunk_size", "out_dir"):
-        if key not in cfg:
-            raise ConfigurationError(f"experiment config is missing {key!r}")
-    for key in ("n", "seed", "chunk_size"):
-        _require(type(cfg[key]) is int, key, "an integer", cfg[key])
-    for key in ("factors", "out_dir"):
-        _require(isinstance(cfg[key], str), key, "a string", cfg[key])
-    if cfg["chunk_size"] < 1:
-        raise ConfigurationError("chunk_size must be >= 1")
-    runner = cfg["runner"]
-    if isinstance(runner, dict):
-        command = runner.get("command")
-        _require(
-            isinstance(command, list) and command and all(isinstance(c, str) for c in command),
-            "runner.command", "a non-empty list of strings", command,
-        )
-    elif not isinstance(runner, str):
+        cfg = check(json.load(fh), _EXPERIMENT, ConfigurationError, "experiment config")
+    if "runner_options" in cfg and not isinstance(cfg["runner"], str):
         raise ConfigurationError(
-            "runner must be a built-in name or an object with a 'command' list"
+            "experiment config 'runner_options' is read only by a built-in runner, "
+            "not by a 'runner' command"
         )
-    options = cfg.setdefault("runner_options", {})
-    _require(isinstance(options, dict), "runner_options", "an object", options)
+    cfg.setdefault("runner_options", {})
     base = Path(path).parent
     factors_path = Path(cfg["factors"])
     if not factors_path.is_absolute():
@@ -157,18 +149,8 @@ def _load_experiment(path) -> dict:
     if not factors_path.exists():
         raise ConfigurationError(f"factor document {factors_path} does not exist")
     cfg["factors"] = factors_path
-    crit = cfg.get("criterion")
-    if crit is not None:
-        _require(isinstance(crit, dict), "criterion", "an object", crit)
-        for key in ("metric", "epsilon"):
-            if key not in crit:
-                raise ConfigurationError(f"criterion is missing {key!r}")
-        _require(isinstance(crit["metric"], str), "criterion.metric", "a string", crit["metric"])
-        crit.setdefault("floor", 1e-9)
-        for key in ("epsilon", "floor"):
-            _require(type(crit[key]) in (int, float), f"criterion.{key}", "a number", crit[key])
-        if crit["epsilon"] <= 0:
-            raise ConfigurationError("criterion epsilon must be > 0")
+    if "criterion" in cfg:
+        cfg["criterion"].setdefault("floor", 1e-9)
     return cfg
 
 
@@ -221,7 +203,7 @@ def _cmd_run(args) -> int:
     criterion = None
     if crit_cfg is not None:
         criterion = mean_convergence_criterion(
-            crit_cfg["metric"], float(crit_cfg["epsilon"]), float(crit_cfg["floor"])
+            crit_cfg["metric"], crit_cfg["epsilon"], crit_cfg["floor"]
         )
     results, report = run_batches(design, runner, criterion, cfg["chunk_size"])
 

@@ -9,15 +9,15 @@ or ``hi + 1`` then floor and clip for integers, whose bounds must lie within
 [-2**53, 2**53] where float64 is exact.  Categorical and boolean factors take
 ``levels[stratum % len(levels)]``, boolean being ``(False, True)``, so level
 counts differ by at most 1.  Kind knowledge lives in the table ``_KINDS`` (dtype,
-JSON tag, CSV cell parser, whole or not, out-of-domain message) and in
-:meth:`FactorSpec.validate` (the rules a factor's fields obey).
+JSON tag, CSV cell parser, whole or not, out-of-domain message, the JSON rule of
+each field) and in :meth:`FactorSpec.validate` (the ranges a factor's fields obey).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError, ParseError
 from .rng import substream
+from .schema import ANY, TEXT, Rule, check, either, list_of, obj, real, tagged
 from .tables import read_csv_tokens, write_csv_columns
 
 __all__ = [
@@ -75,16 +76,28 @@ class _Kind(NamedTuple):
     parse: Callable[[str], object]  # one design CSV cell to a value
     whole: bool  # the draw spans [lo, hi + 1) and is floored; JSON bounds are whole
     outside: str  # validate_design's message for a cell outside the domain
+    fields: dict  # the rule of each field's JSON value; FactorSpec.validate checks the ranges
+
+
+_LEVEL = either(TEXT, real(finite=False))
+
+
+def _level(value, path) -> str:
+    _LEVEL(value, path)
+    return str(value)  # a number level reads as the text a design CSV holds for it
 
 
 _KINDS = {
     Continuous: _Kind("continuous", np.float64, float, False,
-                      "value {v!r} outside [{k.lo}, {k.hi}]"),
+                      "value {v!r} outside [{k.lo}, {k.hi}]",
+                      {"lo": real(finite=False), "hi": real(finite=False)}),
     Integer: _Kind("integer", np.int64, lambda s: np.int64(int(s)), True,  # int64 or OverflowError
-                   "value {v!r} outside integer [{k.lo}, {k.hi}]"),
-    Categorical: _Kind("categorical", object, str, False, "unknown level {v!r}"),
+                   "value {v!r} outside integer [{k.lo}, {k.hi}]",
+                   {"lo": real(finite=False, whole=True), "hi": real(finite=False, whole=True)}),
+    Categorical: _Kind("categorical", object, str, False, "unknown level {v!r}",
+                       {"levels": list_of(Rule(_LEVEL.what, _level))}),
     Boolean: _Kind("boolean", np.bool_, {"true": True, "false": False}.__getitem__, False,
-                   "value {v!r} is not boolean"),
+                   "value {v!r} is not boolean", {}),
 }
 _BAD_CELL = (ValueError, OverflowError, KeyError)  # what a cell parser raises
 
@@ -271,26 +284,10 @@ def read_design(path, factors: Sequence[FactorSpec]) -> Design:
 # -- factor-space JSON documents ---------------------------------------------
 
 
-def _field(entry: dict, name, key: str, whole: bool):
-    """Kind field ``key`` of a JSON entry: the levels, or a bound (whole if ``whole``)."""
-    if key not in entry:
-        raise DomainError(f"factor {name!r}: missing key {key!r}")
-    v = entry[key]
-    if key == "levels":
-        if not isinstance(v, list):
-            raise DomainError(f"factor {name!r}: 'levels' must be a list, got {v!r}")
-        return tuple(str(level) for level in v)
-    # JSON numbers load as int or float; true/false load as bool, a subclass of int
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DomainError(f"factor {name!r}: {key!r} must be a number, got {v!r}")
-    if not whole:
-        try:
-            return float(v)
-        except OverflowError:
-            raise DomainError(f"factor {name!r}: {key!r} is too large for a float") from None
-    if isinstance(v, float) and not v.is_integer():
-        raise DomainError(f"factor {name!r}: {key!r} must be a whole number, got {v!r}")
-    return int(v)
+_DOCUMENT = obj({"factors": list_of(ANY)})
+_ENTRY = tagged("kind", {
+    row.tag: obj({"name": TEXT, "kind": TEXT, **row.fields}) for row in _KINDS.values()
+})
 
 
 def load_factors(source) -> list[FactorSpec]:
@@ -302,18 +299,14 @@ def load_factors(source) -> list[FactorSpec]:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
-        raise DomainError("factor document must be an object with a 'factors' list")
     factors = []
-    for i, entry in enumerate(doc["factors"]):
-        if not isinstance(entry, dict):
-            raise DomainError(f"factor entry {i} must be an object, got {entry!r}")
-        name, tag = entry.get("name"), entry.get("kind")
-        cls = next((c for c, row in _KINDS.items() if row.tag == tag), None)
-        if cls is None:
-            raise DomainError(f"factor {name!r}: unknown kind {tag!r}")
-        whole = _KINDS[cls].whole
-        kind = cls(**{fld.name: _field(entry, name, fld.name, whole) for fld in fields(cls)})
+    for i, entry in enumerate(check(doc, _DOCUMENT, DomainError, "factor document")["factors"]):
+        named = isinstance(entry, dict)
+        context = f"factor {entry.get('name')!r}:" if named else f"factor entry {i}"
+        fields = check(entry, _ENTRY, DomainError, context)
+        name, tag = fields.pop("name"), fields.pop("kind")
+        cls = next(c for c, row in _KINDS.items() if row.tag == tag)
+        kind = cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in fields.items()})
         factors.append(FactorSpec(name=name, kind=kind))
     validate_factors(factors)
     return factors

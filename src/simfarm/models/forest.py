@@ -11,15 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import ModelFormatError, TrainingError
 from ..rng import substream
+from ..schema import BOOL, fail, integer, list_of, obj, real, reporting, where
 from .preprocess import fit_data, majority
+from .state import STATE_CLASSES, STATE_TASK, hyperparameters, state_classes
+from .tree import STATE as TREE_STATE
 from .tree import CartTree, grow_trees
 
 __all__ = ["RandomForest"]
 
 
 class RandomForest:
+    HYPERPARAMETERS = {"n_trees": integer(ge=1), **CartTree.HYPERPARAMETERS,
+                       "feature_fraction": real(gt=0, le=1), "bootstrap": BOOL}
+
     def __init__(
         self,
         n_trees: int = 30,
@@ -29,15 +35,10 @@ class RandomForest:
         bootstrap: bool = True,
         task: str = "regression",
     ):
-        if n_trees < 1:
-            raise TrainingError(f"n_trees must be >= 1, got {n_trees}")
-        if not (0.0 < feature_fraction <= 1.0):
-            raise TrainingError(f"feature_fraction must be in (0, 1], got {feature_fraction}")
-        self.n_trees = int(n_trees)
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
-        self.feature_fraction = float(feature_fraction)
-        self.bootstrap = bool(bootstrap)
+        (self.n_trees, self.max_depth, self.min_leaf, self.feature_fraction,
+         self.bootstrap) = hyperparameters(
+            self, "random_forest", n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+            feature_fraction=feature_fraction, bootstrap=bootstrap)
         self.task = task
         self.trees: list[CartTree] = []
         self.classes_: np.ndarray | None = None
@@ -88,16 +89,32 @@ class RandomForest:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "RandomForest":
-        forest = cls(
-            n_trees=state["n_trees"],
-            max_depth=state["max_depth"],
-            min_leaf=state["min_leaf"],
-            feature_fraction=state["feature_fraction"],
-            bootstrap=state["bootstrap"],
-            task=state["task"],
-        )
-        forest.trees = [CartTree.from_state(t) for t in state["trees"]]
-        if state["classes"] is not None:
-            forest.classes_ = np.asarray(state["classes"], dtype=np.int64)
+    def from_state(cls, state: dict, n_features: int | None = None) -> "RandomForest":
+        """Rebuild from :meth:`to_state`; ``n_features`` is the row width to expect, if known.
+
+        ``n_trees`` trees, each as sound as a saved :class:`CartTree` of the
+        forest's task, and a classifier's trees know only the forest's classes.
+        """
+        path = ("state",)
+        with reporting(ModelFormatError, "model file"):
+            s = STATE(state, path)
+            classes = state_classes(s, path)
+            if len(s["trees"]) != s["n_trees"]:
+                fail((*path, "trees"), f"a list of {s['n_trees']} trees, its 'n_trees'",
+                     state["trees"], typed=True)
+            trees = []
+            for t, tree_state in enumerate(s["trees"]):
+                at = (*path, "trees", t)
+                if tree_state["task"] != s["task"]:
+                    fail((*at, "task"), repr(s["task"]), tree_state["task"])
+                tree = CartTree.from_checked(tree_state, at, n_features)
+                if classes is not None and not np.isin(tree.classes_, classes).all():
+                    fail((*at, "classes"), f"labels of {where((*path, 'classes'))}", tree.classes_)
+                trees.append(tree)
+        forest = cls(**{key: s[key] for key in cls.HYPERPARAMETERS}, task=s["task"])
+        forest.trees, forest.classes_ = trees, classes
         return forest
+
+
+STATE = obj({**RandomForest.HYPERPARAMETERS, "task": STATE_TASK,
+             "trees": list_of(TREE_STATE, min_len=1), "classes": STATE_CLASSES})

@@ -9,19 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import ModelFormatError, TrainingError
+from ..schema import fail, obj, real, reporting
 from .preprocess import fit_data
+from .state import array, hyperparameters
 
 __all__ = ["RidgeRegressor"]
 
 
 class RidgeRegressor:
+    HYPERPARAMETERS = {"lam": real(ge=0)}
+
     def __init__(self, lam: float = 0.0, task: str = "regression"):
         if task != "regression":
             raise TrainingError("linear_ridge supports regression only")
-        if lam < 0:
-            raise TrainingError(f"ridge penalty must be >= 0, got {lam}")
-        self.lam = float(lam)
+        (self.lam,) = hyperparameters(self, "linear_ridge", lam=lam)
         self.coef_: np.ndarray | None = None
         self.intercept_: float | None = None
 
@@ -56,8 +58,17 @@ class RidgeRegressor:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "RidgeRegressor":
-        model = cls(lam=state["lam"])
-        model.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
+    def from_state(cls, state: dict, n_features: int | None = None) -> "RidgeRegressor":
+        """Rebuild from :meth:`to_state`; ``n_features`` is the row width to expect, if known."""
+        with reporting(ModelFormatError, "model file"):
+            s = STATE(state, ("state",))
+            if n_features is not None and len(s["coef"]) != n_features:
+                fail(("state", "coef"), f"a list of {n_features} items, one per feature", s["coef"],
+                     typed=True)
+        model = cls(lam=s["lam"])
+        model.coef_, model.intercept_ = s["coef"], s["intercept"]
         return model
+
+
+STATE = obj({**RidgeRegressor.HYPERPARAMETERS, "coef": array(np.float64),
+             "intercept": real(finite=False)})

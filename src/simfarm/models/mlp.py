@@ -14,9 +14,11 @@ import copy
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import ModelFormatError, TrainingError
 from ..rng import substream
+from ..schema import either, fail, integer, list_of, obj, real, reporting
 from .preprocess import fit_data
+from .state import STATE_CLASSES, STATE_TASK, array, hyperparameters, state_classes
 
 __all__ = ["MlpModel"]
 
@@ -68,6 +70,14 @@ def _backward_pass(task: str, acts: list[np.ndarray], target: np.ndarray, weight
 
 
 class MlpModel:
+    HYPERPARAMETERS = {
+        # one layer size, or a list of one or two
+        "hidden": either(integer(ge=1), list_of(integer(ge=1), 1, 2, what="a list of integers")),
+        "learning_rate": real(gt=0),
+        "epochs": integer(ge=1),
+        "batch_size": integer(ge=1),
+    }
+
     def __init__(
         self,
         hidden=(16,),
@@ -76,17 +86,10 @@ class MlpModel:
         batch_size: int = 32,
         task: str = "regression",
     ):
-        hidden = tuple(int(h) for h in (hidden if isinstance(hidden, (tuple, list)) else (hidden,)))
-        if not (1 <= len(hidden) <= 2) or any(h < 1 for h in hidden):
-            raise TrainingError(f"hidden must be 1 or 2 positive layer sizes, got {hidden}")
-        if learning_rate <= 0:
-            raise TrainingError(f"learning_rate must be > 0, got {learning_rate}")
-        if epochs < 1 or batch_size < 1:
-            raise TrainingError("epochs and batch_size must be >= 1")
-        self.hidden = hidden
-        self.learning_rate = float(learning_rate)
-        self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
+        hidden, self.learning_rate, self.epochs, self.batch_size = hyperparameters(
+            self, "mlp", hidden=hidden, learning_rate=learning_rate, epochs=epochs,
+            batch_size=batch_size)
+        self.hidden = tuple(hidden) if isinstance(hidden, list) else (hidden,)
         self.task = task
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
@@ -202,16 +205,35 @@ class MlpModel:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "MlpModel":
-        model = cls(
-            hidden=tuple(state["hidden"]),
-            learning_rate=state["learning_rate"],
-            epochs=state["epochs"],
-            batch_size=state["batch_size"],
-            task=state["task"],
-        )
-        model.weights = [np.asarray(w, dtype=np.float64) for w in state["weights"]]
-        model.biases = [np.asarray(b, dtype=np.float64) for b in state["biases"]]
-        if state["classes"] is not None:
-            model.classes_ = np.asarray(state["classes"], dtype=np.int64)
+    def from_state(cls, state: dict, n_features: int | None = None) -> "MlpModel":
+        """Rebuild from :meth:`to_state`; ``n_features`` is the row width to expect, if known.
+
+        Layer ``l`` holds a ``weights`` matrix of shape ``(sizes[l], sizes[l + 1])``
+        and a ``biases`` vector of ``sizes[l + 1]``, where ``sizes`` is the row
+        width, the ``hidden`` sizes and the output width (1, or one per class).
+        """
+        path = ("state",)
+        with reporting(ModelFormatError, "model file"):
+            s = STATE(state, path)
+            classes = state_classes(s, path)
+            model = cls(**{key: s[key] for key in cls.HYPERPARAMETERS}, task=s["task"])
+            weights, biases = s["weights"], s["biases"]
+            width = n_features if n_features is not None or not weights else len(weights[0])
+            sizes = [width, *model.hidden, 1 if classes is None else len(classes)]
+            for key, arrays in (("weights", weights), ("biases", biases)):
+                if len(arrays) != len(sizes) - 1:
+                    fail((*path, key), f"a list of {len(sizes) - 1} layers", arrays, typed=True)
+            for layer, (w, b) in enumerate(zip(weights, biases)):
+                if w.shape != tuple(sizes[layer : layer + 2]):
+                    fail((*path, "weights", layer), f"a {sizes[layer]} x {sizes[layer + 1]} matrix",
+                         w, typed=True)
+                if b.shape != (sizes[layer + 1],):
+                    fail((*path, "biases", layer), f"a list of {sizes[layer + 1]} items", b,
+                         typed=True)
+        model.weights, model.biases, model.classes_ = weights, biases, classes
         return model
+
+
+STATE = obj({**MlpModel.HYPERPARAMETERS, "task": STATE_TASK,
+             "weights": list_of(array(np.float64, 2)), "biases": list_of(array(np.float64)),
+             "classes": STATE_CLASSES})

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import ModelFormatError, TrainingError
+from ..schema import fail, integer, obj, reporting, where
 from .preprocess import fit_data, majority
+from .state import STATE_CLASSES, STATE_TASK, array, hyperparameters, state_classes
+from .state import state_lengths
 
 __all__ = ["KnnModel"]
 
@@ -18,10 +21,10 @@ _BLOCK = 1 << 20
 
 
 class KnnModel:
+    HYPERPARAMETERS = {"k": integer(ge=1)}
+
     def __init__(self, k: int = 5, task: str = "regression"):
-        if k < 1:
-            raise TrainingError(f"k must be >= 1, got {k}")
-        self.k = int(k)
+        (self.k,) = hyperparameters(self, "knn", k=k)
         self.task = task
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
@@ -60,10 +63,28 @@ class KnnModel:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "KnnModel":
-        model = cls(k=state["k"], task=state["task"])
-        model._X = np.asarray(state["X"], dtype=np.float64)
-        if state["classes"] is not None:
-            model.classes_ = np.asarray(state["classes"], dtype=np.int64)
-        model._y = np.asarray(state["y"], dtype=np.float64 if model.classes_ is None else np.int64)
+    def from_state(cls, state: dict, n_features: int | None = None) -> "KnnModel":
+        """Rebuild from :meth:`to_state`; ``n_features`` is the row width to expect, if known."""
+        path = ("state",)
+        with reporting(ModelFormatError, "model file"):
+            s = STATE(state, path)
+            classes = state_classes(s, path)
+            X, y = s["X"], s["y"]
+            state_lengths(s, path, "X", ("y",))
+            if s["k"] > len(X):
+                fail((*path, "k"), f"<= {len(X)}, the stored row count", s["k"], typed=True)
+            if n_features is not None and X.shape[1] != n_features:
+                fail((*path, "X"), f"rows of {n_features} features", X, typed=True)
+            if classes is not None:
+                bad = ~np.isin(y, classes)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    fail((*path, "y", i), f"one of {where((*path, 'classes'))}", y[i], typed=True)
+        model = cls(k=s["k"], task=s["task"])
+        model._X, model.classes_ = X, classes
+        model._y = y if classes is None else y.astype(np.int64)
         return model
+
+
+STATE = obj({**KnnModel.HYPERPARAMETERS, "task": STATE_TASK, "X": array(np.float64, 2),
+             "y": array(np.float64), "classes": STATE_CLASSES})

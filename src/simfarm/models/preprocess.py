@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateSampleError, InvalidArgumentError, ModelFormatError, TrainingError
+from ..schema import ANY, NULL, TEXT, check, fail, list_of, obj, one_of, real, reporting, tagged
 from ..tables import DataColumn
 
 __all__ = ["TransformResult", "FittedPreprocessor", "fit_preprocessor", "fit_data", "class_codes",
@@ -29,6 +30,18 @@ _RULES = {
     "numeric": {"scaling": "zscore", "encoding": "none", "imputation": "mean"},
     "categorical": {"scaling": "none", "encoding": "onehot", "imputation": "mode"},
 }
+# A saved column: its kind's rule, and the statistics it learned.
+_COLUMN = tagged("kind", {
+    kind: obj({"kind": TEXT, **{key: one_of(v) for key, v in _RULES[kind].items()}, **stats,
+               "min": NULL, "max": NULL})
+    for kind, stats in (
+        ("numeric", {"impute_value": real(), "mean": real(), "sd": real(gt=0),
+                     "levels": one_of([])}),
+        ("categorical", {"impute_value": TEXT, "mean": NULL, "sd": NULL,
+                         "levels": list_of(TEXT, min_len=1)}),
+    )
+})
+_PREPROCESSOR = obj({"order": list_of(TEXT), "columns": obj(rest=ANY)})
 
 
 @dataclass
@@ -110,22 +123,21 @@ class FittedPreprocessor:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FittedPreprocessor":
+        """Rebuild from :meth:`to_dict`.  ``order`` names each column once, and each
+        column follows its kind's rule with a finite mean and a finite sd > 0."""
+        with reporting(ModelFormatError, "preprocessor"):
+            doc = _PREPROCESSOR(doc, ())
+            order, columns = doc["order"], doc["columns"]
+            if len(set(order)) != len(order):
+                fail(("order",), "a list of distinct column names", order, typed=True)
+            obj(dict.fromkeys(order, ANY))(columns, ("columns",))
         stats = {}
-        for name, entry in doc["columns"].items():
-            kind = entry.get("kind")
-            rule = _RULES.get(kind)
-            if rule is None or any(entry.get(key) != value for key, value in rule.items()):
-                raise ModelFormatError(
-                    f"preprocessor column {name!r} does not follow the rule for {kind!r} columns"
-                )
-            stats[name] = _ColumnStats(
-                kind=kind,
-                impute_value=entry["impute_value"],
-                mean=entry["mean"],
-                sd=entry["sd"],
-                levels=list(entry["levels"]),
-            )
-        return cls(order=list(doc["order"]), stats=stats)
+        for name in order:
+            context = f"preprocessor column {name!r}:"
+            entry = check(columns[name], _COLUMN, ModelFormatError, context)
+            stats[name] = _ColumnStats(kind=entry["kind"], impute_value=entry["impute_value"],
+                                       mean=entry["mean"], sd=entry["sd"], levels=entry["levels"])
+        return cls(order=order, stats=stats)
 
 
 def fit_preprocessor(table: list[DataColumn]) -> FittedPreprocessor:

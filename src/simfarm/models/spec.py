@@ -6,7 +6,8 @@ either concrete values or sampling ranges (:class:`FloatRange`,
 uniformly (log-uniformly when flagged); ``train`` requires every
 hyperparameter to be fixed.  ``_TABLE`` holds each family's model class,
 default search space (its keys are the allowed hyperparameters) and tasks;
-a fixed value must have the type its space entry draws.
+a fixed value must have the type that the model class's ``HYPERPARAMETERS``
+rule takes, and the model's constructor checks its range.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import ModelSpecError
+from ..schema import Invalid
 from .forest import RandomForest
 from .linear import RidgeRegressor
 from .mlp import MlpModel
 from .neighbors import KnnModel
+from .state import TASKS
 from .tree import CartTree
 
 __all__ = [
@@ -34,9 +37,6 @@ __all__ = [
     "default_spec",
     "sample_params",
 ]
-
-TASKS = ("regression", "classification")
-
 
 @dataclass(frozen=True)
 class FloatRange:
@@ -117,26 +117,6 @@ FAMILIES = tuple(_TABLE)
 MODEL_CLASSES = {name: family.model for name, family in _TABLE.items()}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _misfit(entry, value) -> str | None:
-    """What a fixed ``value`` of the space ``entry`` must be, or None if it is that."""
-    if isinstance(entry, FloatRange):
-        try:
-            real = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):  # not a number, or an int past the float range
-            real = False
-        return None if real else "a finite real number"
-    if isinstance(entry, Choice) and isinstance(entry.options[0], tuple):  # layer sizes
-        layers = isinstance(value, (list, tuple)) and all(map(_is_int, value))
-        return None if _is_int(value) or layers else "an integer or a list of integers"
-    if isinstance(entry, (IntRange, Choice)):  # integer options
-        return None if _is_int(value) else "an integer"
-    return None if type(value) is type(entry) else f"a {type(entry).__name__}"
-
-
 @dataclass
 class ModelSpec:
     family: str
@@ -158,10 +138,13 @@ class ModelSpec:
                 )
             if isinstance(value, (FloatRange, IntRange, Choice)):
                 value.validate(name)
-            elif want := _misfit(family.space[name], value):
-                raise ModelSpecError(
-                    f"{self.family} hyperparameter {name!r} must be {want}, got {value!r}"
-                )
+                continue
+            try:
+                family.model.HYPERPARAMETERS[name](value, (name,))
+            except Invalid as bad:
+                # a value of the right type but out of range is the constructor's TrainingError
+                if not bad.typed:
+                    raise ModelSpecError(f"{self.family} hyperparameter {bad.text}") from None
 
     def is_fixed(self) -> bool:
         return not any(

@@ -27,8 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import ModelFormatError, TrainingError
+from ..schema import fail, integer, obj, reporting
 from .preprocess import fit_data
+from .state import STATE_CLASSES, STATE_TASK, array, hyperparameters, state_classes
+from .state import state_lengths
 
 __all__ = ["CartTree", "feature_draws", "grow_trees"]
 
@@ -420,13 +423,11 @@ def grow_trees(X, y, samples, streams=None, m=None, max_depth=8, min_leaf=1, n_c
 
 
 class CartTree:
+    HYPERPARAMETERS = {"max_depth": integer(ge=1), "min_leaf": integer(ge=1)}
+
     def __init__(self, max_depth: int = 8, min_leaf: int = 1, task: str = "regression"):
-        if max_depth < 1:
-            raise TrainingError(f"max_depth must be >= 1, got {max_depth}")
-        if min_leaf < 1:
-            raise TrainingError(f"min_leaf must be >= 1, got {min_leaf}")
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
+        self.max_depth, self.min_leaf = hyperparameters(
+            self, "cart_tree", max_depth=max_depth, min_leaf=min_leaf)
         self.task = task
         # parallel node arrays in preorder; children are node ids, -1 marks a leaf
         self.feature: list[int] = []
@@ -485,13 +486,51 @@ class CartTree:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "CartTree":
-        tree = cls(max_depth=state["max_depth"], min_leaf=state["min_leaf"], task=state["task"])
-        tree.feature = [int(v) for v in state["feature"]]
-        tree.threshold = [float(v) for v in state["threshold"]]
-        tree.left = [int(v) for v in state["left"]]
-        tree.right = [int(v) for v in state["right"]]
-        tree.value = [float(v) for v in state["value"]]
-        if state["classes"] is not None:
-            tree.classes_ = np.asarray(state["classes"], dtype=np.int64)
+    def from_state(cls, state: dict, n_features: int | None = None) -> "CartTree":
+        """Rebuild from :meth:`to_state`; ``n_features`` is the row width to expect, if known."""
+        with reporting(ModelFormatError, "model file"):
+            return cls.from_checked(STATE(state, ("state",)), ("state",), n_features)
+
+    @classmethod
+    def from_checked(cls, s: dict, path: tuple, n_features: int | None) -> "CartTree":
+        """A tree from a state that passed ``STATE`` at ``path``, once its nodes are sound.
+
+        The node arrays are equally long.  A leaf has ``left``, ``right`` and
+        ``feature`` -1.  An inner node's children come after it and before
+        the end, so every walk from the root ends at a leaf, and its feature
+        lies in ``[0, n_features)``.  A classifier's values are class indices.
+        """
+        classes = state_classes(s, path)
+        feature, left, right, value = s["feature"], s["left"], s["right"], s["value"]
+        n = len(feature)
+        if not n:
+            fail((*path, "feature"), "a list of 1 or more items", feature, typed=True)
+        state_lengths(s, path, "feature", ("threshold", "left", "right", "value"))
+        node, leaf = np.arange(n), left == -1
+        top = np.inf if n_features is None else n_features
+        within = "[0, the row width)" if n_features is None else f"[0, {n_features})"
+        checks = [
+            ("feature", np.where(leaf, feature != -1, (feature < 0) | (feature >= top)),
+             f"-1 at a leaf and in {within} at an inner node"),
+            ("left", ~leaf & ((left <= node) | (left >= n)),
+             f"-1 or a node index after its own and below {n}"),
+            ("right", np.where(leaf, right != -1, (right <= node) | (right >= n)),
+             f"-1 where 'left' is -1, else a node index after its own and below {n}"),
+        ]
+        if classes is not None:
+            index = (value >= 0) & (value < len(classes)) & (value == np.floor(value))
+            checks.append(("value", ~index, f"a class index in [0, {len(classes)})"))
+        for key, bad, what in checks:
+            if bad.any():
+                i = int(np.argmax(bad))
+                fail((*path, key, i), what, s[key][i], typed=True)
+        tree = cls(max_depth=s["max_depth"], min_leaf=s["min_leaf"], task=s["task"])
+        tree.set_nodes((feature.tolist(), s["threshold"].tolist(), left.tolist(), right.tolist(),
+                        value.tolist()))
+        tree.classes_ = classes
         return tree
+
+
+STATE = obj({**CartTree.HYPERPARAMETERS, "task": STATE_TASK, "feature": array(np.int64),
+             "threshold": array(np.float64), "left": array(np.int64), "right": array(np.int64),
+             "value": array(np.float64), "classes": STATE_CLASSES})

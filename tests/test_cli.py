@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -88,6 +89,15 @@ BAD_FACTOR_DOCUMENTS = [
     ({"name": "n", "kind": "integer", "lo": 0, "hi": 1e300}, "factor 'n': integer 'hi' must lie"),
     ({"name": "n", "kind": "integer", "lo": 2**62 - 1000, "hi": 2**62 - 1},
      "factor 'n': integer 'lo' must lie within [-2**53, 2**53], got 4611686018427386904"),
+    ({"name": "c", "kind": "categorical", "levels": ["a", None, {"x": 1}]},
+     "factor 'c': 'levels[1]' must be a string or a number, got None"),
+    ({"name": "c", "kind": "categorical", "levels": [True]},
+     "factor 'c': 'levels[0]' must be a string or a number, got True"),
+    ({"name": "c", "kind": "categorical", "levels": ["a", ["b"]]},
+     "factor 'c': 'levels[1]' must be a string or a number, got ['b']"),
+    ({"name": "a", "kind": "continuous", "lo": 0, "hi": 1, "extra": 3},
+     "factor 'a': unknown key 'extra'"),
+    ({"name": "b", "kind": "boolean", "levels": [True, False]}, "factor 'b': unknown key 'levels'"),
 ]
 
 
@@ -194,6 +204,32 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"simfarm: error: experiment config {key!r} must be")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"criterion": {"metric": "fuel_consumed", "epsilon": math.nan}},
+         "'criterion.epsilon' must be a finite real number, got nan"),
+        ({"criterion": {"metric": "fuel_consumed", "epsilon": math.inf}},
+         "'criterion.epsilon' must be a finite real number, got inf"),
+        ({"criterion": {"metric": "fuel_consumed", "epsilon": 0.01, "floor": math.nan}},
+         "'criterion.floor' must be a finite real number, got nan"),
+        ({"criterion": {"metric": "fuel_consumed", "epsilon": 0.01, "floor": 0}},
+         "'criterion.floor' must be > 0, got 0"),
+        ({"criterion": {"metric": "fuel_consumed", "epsilon": 0.01, "epsilson": 1}},
+         "unknown key 'criterion.epsilson'"),
+        ({"runner": {"command": ["false"], "timeout": 5}}, "unknown key 'runner.timeout'"),
+        ({"runner": {"command": ["false"]}, "runner_options": {"seed": 3}},
+         "'runner_options' is read only by a built-in runner"),
+        ({"chunksize": 100}, "unknown key 'chunksize'"),
+    ])
+    def test_config_that_ran_silently_is_exit_2(self, tmp_path, factors_json, capsys, change,
+                                               message):
+        cfg = self.make_config(tmp_path, factors_json, criterion=False)
+        doc = {**json.loads(cfg.read_text()), **change}
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simfarm: error: experiment config ") and message in err, err
         assert not (tmp_path / "out").exists()
 
     def test_runner_options_reach_the_factory(self, tmp_path, factors_json, capsys):

@@ -283,3 +283,8 @@ class TestFactorDocuments:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             load_factors({"factors": [{"name": "x", "kind": "gaussian"}]})
+
+    def test_string_and_number_levels_read_as_their_text(self):
+        (factor,) = load_factors(
+            {"factors": [{"name": "c", "kind": "categorical", "levels": ["a", 1, 2.5]}]})
+        assert factor.kind == Categorical(("a", "1", "2.5"))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import weakref
 
 import numpy as np
@@ -56,6 +57,44 @@ def test_default_space_builds_trains_and_round_trips(family, task, tmp_path):
     save_model(model, first)
     save_model(load_model(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_hyperparameter_rules_cover_the_default_space():
+    for family in FAMILIES:
+        space = default_spec(family, "regression").params
+        assert set(MODEL_CLASSES[family].HYPERPARAMETERS) == set(space)
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("knn", {"k": 2.5}, "knn hyperparameter 'k' must be an integer, got 2.5"),
+    ("knn", {"k": 0}, "knn hyperparameter 'k' must be >= 1, got 0"),
+    ("mlp", {"hidden": [8, 4.7]}, "mlp hyperparameter 'hidden[1]' must be an integer, got 4.7"),
+    ("mlp", {"hidden": [8, 4, 2]}, "mlp hyperparameter 'hidden' must be a list of 1 to 2 items"),
+    ("mlp", {"epochs": True}, "mlp hyperparameter 'epochs' must be an integer, got True"),
+    ("cart_tree", {"max_depth": 2.9}, "cart_tree hyperparameter 'max_depth' must be an integer"),
+    ("random_forest", {"bootstrap": "no"},
+     "random_forest hyperparameter 'bootstrap' must be a bool, got 'no'"),
+    ("random_forest", {"feature_fraction": 1.5},
+     "random_forest hyperparameter 'feature_fraction' must be > 0 and <= 1, got 1.5"),
+    ("linear_ridge", {"lam": math.nan},
+     "linear_ridge hyperparameter 'lam' must be a finite real number, got nan"),
+])
+def test_constructor_refuses_what_it_used_to_truncate(family, params, message):
+    with pytest.raises(TrainingError) as exc:
+        MODEL_CLASSES[family](**params)
+    assert str(exc.value).startswith(message)
+
+
+def test_constructor_takes_numpy_integers_as_ints():
+    model = MODEL_CLASSES["mlp"](hidden=[np.int64(8)], epochs=np.int32(3))
+    assert model.hidden == (8,) and type(model.hidden[0]) is int and type(model.epochs) is int
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_sampled_configuration_builds(family):
+    spec = default_spec(family, "regression")
+    for draw in range(200):
+        MODEL_CLASSES[family](**sample_params(spec, substream(5, draw)))
 
 
 def test_ridge_is_regression_only():
