@@ -3,21 +3,26 @@
 Tree ``t`` draws its bootstrap sample and per-split feature subsets from the
 stream ``(seed, t)``, so forests are reproducible and independent of build
 order; :func:`~simfarm.models.tree.grow_trees` grows all the trees together.
-With ``n_trees=1``, ``feature_fraction=1`` and bootstrap disabled the forest
-is exactly a single CART tree.
+``fit_stack`` fits the forests of K same-shape problems, such as the CV folds
+of one configuration: each problem's trees draw from their own fresh streams,
+and all K * n_trees trees grow in one ``grow_trees`` call.  ``fit`` is the
+stack of one.  With ``n_trees=1``, ``feature_fraction=1`` and bootstrap
+disabled the forest is exactly a single CART tree.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
 from ..errors import ModelFormatError, TrainingError
 from ..rng import substream
 from ..schema import BOOL, fail, integer, list_of, obj, real, reporting, where
-from .preprocess import fit_data, majority
+from .preprocess import majority
 from .state import STATE_CLASSES, STATE_TASK, hyperparameters, state_classes
 from .tree import STATE as TREE_STATE
-from .tree import CartTree, grow_trees
+from .tree import CartTree, fit_stack_data, grow_trees
 
 __all__ = ["RandomForest"]
 
@@ -44,29 +49,48 @@ class RandomForest:
         self.classes_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "RandomForest":
-        X, y, self.classes_ = fit_data(self.task, X, y)
-        n_classes = 0 if self.classes_ is None else len(self.classes_)
-        y = np.searchsorted(self.classes_, y) if n_classes else y
-        streams = [substream(seed, t) for t in range(self.n_trees)]
-        samples = np.empty((self.n_trees, len(X)), dtype=np.int64)
-        for rng, sample in zip(streams, samples):
-            sample[:] = rng.integers(0, len(X), size=len(X)) if self.bootstrap else np.arange(len(X))
-            # a degenerate classification draw falls back to the full sample
-            if n_classes and len(np.unique(y[sample])) < 2:
-                sample[:] = np.arange(len(X))
-        m = max(1, int(round(self.feature_fraction * X.shape[1])))
-        grown = grow_trees(X, y, samples, streams, m, self.max_depth, self.min_leaf, n_classes)
-        self.trees = []
-        for sample, nodes in zip(samples, grown):
-            tree = CartTree(max_depth=self.max_depth, min_leaf=self.min_leaf, task=self.task)
-            tree.set_nodes(nodes)
-            if n_classes:
-                # a tree knows only the classes of its own sample, as if fit on it alone
-                present = np.unique(y[sample])
-                tree.classes_ = self.classes_[present]
-                tree.value = np.searchsorted(present, tree.value).astype(np.float64).tolist()
-            self.trees.append(tree)
+        (fitted,) = self.fit_stack(np.asarray(X)[None], np.asarray(y)[None], seed)
+        vars(self).update(vars(fitted))
         return self
+
+    def fit_stack(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> list["RandomForest"]:
+        """Fit K problems of one shape, ``X`` (K, n, p) and ``y`` (K, n), at once.
+
+        Forest k is byte-identical to ``fit(X[k], y[k], seed)``: each
+        problem's tree t draws from its own fresh ``substream(seed, t)``, and
+        all K * n_trees trees grow in one :func:`grow_trees` call.  In
+        classification all problems must hold the same set of classes.
+        """
+        X, y, classes = fit_stack_data(self.task, X, y)
+        K, n, p = X.shape
+        n_classes = 0 if classes is None else len(classes)
+        streams = [substream(seed, t) for _ in range(K) for t in range(self.n_trees)]
+        samples = np.empty((K, self.n_trees, n), dtype=np.int32)
+        present = []  # the class codes of each tree's sample
+        for i, (rng, sample) in enumerate(zip(streams, samples.reshape(-1, n))):
+            sample[:] = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            if n_classes:
+                present.append(np.unique(y[i // self.n_trees, sample]))
+                # a degenerate classification draw falls back to the full sample
+                if len(present[-1]) < 2:
+                    sample[:] = np.arange(n)
+                    present[-1] = np.arange(n_classes)
+        m = max(1, int(round(self.feature_fraction * p)))
+        grown = grow_trees(X, y, samples, streams, m, self.max_depth, self.min_leaf, n_classes)
+        forests = []
+        for k in range(K):
+            forest = copy.copy(self)
+            forest.classes_, forest.trees = classes, []
+            for t in range(k * self.n_trees, (k + 1) * self.n_trees):
+                tree = CartTree(max_depth=self.max_depth, min_leaf=self.min_leaf, task=self.task)
+                tree.set_nodes(grown[t])
+                if n_classes:
+                    # a tree knows only the classes of its own sample, as if fit on it alone
+                    tree.classes_ = classes[present[t]]
+                    tree.value = np.searchsorted(present[t], tree.value).astype(np.float64)
+                forest.trees.append(tree)
+            forests.append(forest)
+        return forests
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.trees:

@@ -2,9 +2,11 @@
 
 Configuration ``i`` samples its hyperparameters from one shared stream and
 trains with a seed derived from ``(seed, i)``, so a parallel search would
-produce the identical CvReport as the sequential one.  Folds are shared
-across all configurations.  CV scores are MSE (regression, lower is better)
-or accuracy (classification, higher is better).
+produce the identical CvReport as the sequential one.  A sampled kNN ``k``
+is capped at the smallest training fold, so a small table cannot draw a
+``k`` that no fold can fit.  Folds are shared across all configurations.
+CV scores are MSE (regression, lower is better) or accuracy
+(classification, higher is better).
 """
 
 from __future__ import annotations
@@ -129,14 +131,15 @@ def _search(
         k=k, score_name="accuracy" if higher else "mse", higher_is_better=higher
     )
     matrices = [build(tr, fold) for tr, fold in zip(train_idx, folds)]
+    smallest = min(len(tr) for tr in train_idx)
     for i in range(budget):
-        params = sample_params(spec, sampler)
+        params = sample_params(spec, sampler, rows=smallest)
         config_seed = stream_index(seed, _STREAM_CONFIG, i)
         fitted = iter(train_folds(
             spec.with_params(**params), [m[0] for m in matrices], [y[tr] for tr in train_idx],
             seed=config_seed,
         ))
-        # no name holds a fold's model, so it is freed before the next fold trains
+        # no name holds a fold's model, so one trained alone is freed before the next trains
         fold_scores = [
             _score(spec.task, next(fitted).predict(x_val), y[fold])
             for (_, x_val), fold in zip(matrices, folds)

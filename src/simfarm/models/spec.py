@@ -5,9 +5,10 @@ either concrete values or sampling ranges (:class:`FloatRange`,
 :class:`IntRange`, :class:`Choice`).  ``random_search_cv`` samples ranges
 uniformly (log-uniformly when flagged); ``train`` requires every
 hyperparameter to be fixed.  ``_TABLE`` holds each family's model class,
-default search space (its keys are the allowed hyperparameters) and tasks;
-a fixed value must have the type that the model class's ``HYPERPARAMETERS``
-rule takes, and the model's constructor checks its range.
+default search space (its keys are the allowed hyperparameters), tasks and
+the hyperparameters that a search caps at the training rows; a fixed value
+must have the type that the model class's ``HYPERPARAMETERS`` rule takes,
+and the model's constructor checks its range.
 """
 
 from __future__ import annotations
@@ -92,12 +93,13 @@ class _Family:
     model: type
     space: dict  # the default search space; its keys are the allowed hyperparameters
     tasks: tuple = TASKS
+    row_counts: tuple = ()  # hyperparameters that may not exceed the training rows
 
 
 _TABLE = {
     "linear_ridge": _Family(RidgeRegressor, {"lam": FloatRange(1e-6, 1e2, log=True)},
                             tasks=("regression",)),
-    "knn": _Family(KnnModel, {"k": IntRange(1, 25)}),
+    "knn": _Family(KnnModel, {"k": IntRange(1, 25)}, row_counts=("k",)),
     "cart_tree": _Family(CartTree, {"max_depth": IntRange(2, 12), "min_leaf": IntRange(1, 10)}),
     "random_forest": _Family(RandomForest, {
         "n_trees": IntRange(10, 60),
@@ -167,13 +169,22 @@ def default_spec(family: str, task: str) -> ModelSpec:
     return spec
 
 
-def sample_params(spec: ModelSpec, rng: np.random.Generator) -> dict:
-    """Draw one concrete configuration from the spec's ranges."""
+def sample_params(spec: ModelSpec, rng: np.random.Generator, rows: int | None = None) -> dict:
+    """Draw one concrete configuration from the spec's ranges.
+
+    With ``rows``, the size of the smallest training set the configuration
+    will fit, a sampled hyperparameter that counts training rows (kNN's
+    ``k``) is capped at it; the draws are unchanged, so the other
+    hyperparameters are too.  A fixed value is kept as given.
+    """
+    capped = () if rows is None else _TABLE[spec.family].row_counts
     out = {}
     for name in sorted(spec.params):
         value = spec.params[name]
         if isinstance(value, (FloatRange, IntRange, Choice)):
             out[name] = value.sample(rng)
+            if name in capped:
+                out[name] = min(out[name], rows)
         else:
             out[name] = value
     return out

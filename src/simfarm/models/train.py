@@ -54,11 +54,12 @@ def train_folds(
 ) -> Iterator[TrainedModel]:
     """A model of ``spec`` fitted on ``(xs[i], ys[i])`` with ``seed`` for every fold i, in order.
 
-    A family whose class has ``fit_stack`` (MLP) trains folds with the same
-    training-matrix shape and class set as one stack, bit-identical to
-    fitting them one by one, before the first model is yielded.  Folds of
-    every other family train one at a time as the iterator advances, so only
-    one fitted model, which for a forest can take megabytes, is alive at once.
+    A family whose class has ``fit_stack`` (CART, forest, MLP) trains folds
+    with the same training-matrix shape and class set as one stack,
+    byte-identical to fitting them one by one, before the first model is
+    yielded; all of a stack's models are alive until the caller drops them.
+    Folds of every other family (kNN, ridge) train one at a time as the
+    iterator advances, so only one fitted model is alive at once.
     """
     spec.validate()
     params = spec.fixed_params()

@@ -7,23 +7,31 @@ break toward the lower feature index and threshold.  No cut sits beside inf
 or NaN or where the two values' sum overflows, so no child is empty.
 
 One engine, :func:`grow_trees`, grows every tree, one or many at a time, in
-rounds.  Each tree keeps the rows of its sample once per feature in sorted
-order and once in sample order; a node is a ``[start, end)`` segment of those
-lists that a stable partition splits in place, so a child keeps its parent's
-order, which is the stable sort of the child's own rows.  A round scores every
-pending node whose feature subset is known, over all trees, with one kernel
-call per group of similar-sized nodes: every cut of every candidate feature
-comes from prefix sums (``cumsum`` adds in row order, so the scores are those
-of a sequential scan).  Without feature draws all pending nodes are known, so
-the trees grow level by level.  A tree that draws a feature subset per node
-takes its draws in preorder, as a recursive build would, so it splits only
-its next preorder node per round, and the trees of a forest advance in
-lockstep.  Node ids are put back into preorder at the end, so a tree is the
-same, node for node and bit for bit, as the recursive build's.  Prediction
-walks all rows down the tree one level at a time.
+rounds.  It takes a stack of same-shape problems, such as the k CV folds of
+one configuration, so ``CartTree.fit_stack`` and ``RandomForest.fit_stack``
+grow all the trees of all the folds in one call, and ``fit`` is the stack of
+one.  No score or node value depends on which other trees share a round, so
+each tree is the same as when grown alone.  Each tree keeps the rows of its
+sample once per feature in sorted order and once in sample order; a node is
+a ``[start, end)`` segment of those lists that a stable partition splits in
+place, so a child keeps its parent's order, which is the stable sort of the
+child's own rows.  A round scores every pending node whose feature subset is
+known, over all trees, with one kernel call per group of similar-sized
+nodes: every cut of every candidate feature comes from prefix sums
+(``cumsum`` adds in row order, so the scores are those of a sequential
+scan).  Without feature draws all pending nodes are known, so the trees grow
+level by level.  A tree that draws a feature subset per node takes its draws
+in preorder, as a recursive build would, so it splits only its next preorder
+node per round, and the trees of a forest advance in lockstep.  Node ids are
+put back into preorder at the end, so a tree is the same, node for node and
+bit for bit, as the recursive build's.  A tree keeps its nodes as int32 and
+float64 arrays.  Prediction walks all rows down the tree one level at a
+time.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -33,13 +41,15 @@ from .preprocess import fit_data
 from .state import STATE_CLASSES, STATE_TASK, array, hyperparameters, state_classes
 from .state import state_lengths
 
-__all__ = ["CartTree", "feature_draws", "grow_trees"]
+__all__ = ["CartTree", "feature_draws", "fit_stack_data", "grow_trees"]
 
 # cells (node rows x features x classes) in one split-search or partition call
 _SPLIT_BLOCK = 1 << 13
 # padding cells a kernel call may add beyond doubling its cells
 _PAD_CELLS = 1 << 11
-# row ids (int32) that one batch of trees holds: (p + 1) * n per tree, 4 MiB in all
+# row ids (int32) that one batch of trees holds: (p + 1) * n per tree, 4 MiB in all;
+# a batch may hold trees of several problems of a stack, and its other per-row
+# arrays are sized by its trees and one problem's rows, never by the whole stack
 _BATCH_IDS = 1 << 20
 _FIRST_DRAWS = 64  # feature-subset rows drawn per tree before the first refill
 
@@ -111,23 +121,27 @@ _ID, _TREE, _START, _SIZE, _DEPTH = range(5)
 class _Batch:
     """The row lists of one batch of trees being grown, and the nodes made so far."""
 
-    def __init__(self, X, y, samples, max_depth, min_leaf, n_classes):
+    def __init__(self, X, y, N, samples, base, max_depth, min_leaf, n_classes):
         self.X_flat = X.reshape(-1)
         self.p = p = X.shape[1]
         self.n = n = samples.shape[1]
         self.T = T = len(samples)
         self.max_depth, self.min_leaf, self.n_classes = max_depth, min_leaf, n_classes
-        self.N = len(X)
         self.y = y
         # row lists: (t, f) holds the rows of X in tree t's sample (a row drawn twice is
         # there twice) stably sorted by feature f; list p holds them in sample order
         rows = np.empty((T, p + 1, n), dtype=np.int32)
-        for t in range(T):
-            for f in range(p):
-                rows[t, f] = samples[t, np.argsort(X[samples[t], f], kind="stable")]
         rows[:, p] = samples
+        rows[:, p] += base[:, None]  # a tree's problem starts at row base of X
+        for t in range(T):
+            sample = rows[t, p]
+            for f in range(p):
+                rows[t, f] = sample[np.argsort(X[sample, f], kind="stable")]
         self.rows = rows.reshape(-1)
-        self.goes_left = np.zeros(T * self.N, dtype=bool)  # by tree and row of X
+        # by tree and row of its own problem, so a batch holds T * N flags, however many
+        # problems X stacks; row r of tree t sits at shift[t] + r
+        self.goes_left = np.zeros(T * N, dtype=bool)
+        self.shift = np.arange(T) * N - base
         self.count = 0
         self.made = []  # (tree, depth, value) of each settled group of nodes, in id order
         self.splits = []  # (id, feature, threshold, left child id) of each round's splits
@@ -273,7 +287,7 @@ class _Batch:
         n_left = np.empty(len(nodes), dtype=np.int64)
         for run, offsets, sizes, rows in self._node_runs(nodes, p):
             lefts = self.X_flat[rows * p + np.repeat(feature[run], sizes)] <= np.repeat(thr[run], sizes)
-            rows += np.repeat(nodes[run, _TREE] * self.N, sizes)
+            rows += np.repeat(self.shift[nodes[run, _TREE]], sizes)
             self.goes_left[rows] = lefts
             ranks = np.cumsum(lefts)
             n_left[run] = ranks[offsets + sizes - 1] - ranks[offsets] + lefts[offsets]
@@ -289,7 +303,7 @@ class _Batch:
             within -= np.repeat(offsets, sizes)
             head = np.repeat(heads[run], sizes)
             seg = self.rows[head + within]
-            left = self.goes_left[np.repeat(tree[node[run]] * self.N, sizes) + seg]
+            left = self.goes_left[np.repeat(self.shift[tree[node[run]]], sizes) + seg]
             rank = np.cumsum(left)
             rank -= left
             rank -= np.repeat(rank[offsets], sizes)  # lefts before a row in its segment
@@ -303,18 +317,28 @@ class _Batch:
 
     # -- output ------------------------------------------------------------------
 
-    def trees(self) -> list[tuple[list, list, list, list, list]]:
-        """Each tree's ``(feature, threshold, left, right, value)`` lists in preorder."""
-        del self.rows, self.goes_left  # the lists below are built without them
+    def trees(self) -> list[tuple[np.ndarray, ...]]:
+        """Each tree's ``(feature, threshold, left, right, value)`` arrays in preorder.
+
+        The arrays of one tree are slices of arrays shared by the batch.  Each
+        round's pieces are freed as they are copied out, and each array is
+        put into preorder on its own, so about two copies of the node data
+        are alive at once.
+        """
+        del self.rows, self.goes_left  # the arrays below are built without them
         k = self.count
-        tree, depth, value = map(np.concatenate, zip(*self.made))
-        feature = np.full(k, -1, dtype=np.int32)
-        threshold = np.zeros(k)
+        tree, depth, value = np.empty(k, dtype=np.int32), np.empty(k, dtype=np.int32), np.empty(k)
+        end = k
+        while self.made:  # in id order, so the last piece ends at k
+            piece = self.made.pop()
+            lo = end - len(piece[0])
+            tree[lo:end], depth[lo:end], value[lo:end] = piece
+            end = lo
+        feature, threshold = np.full(k, -1, dtype=np.int32), np.zeros(k)
         left = np.full(k, -1, dtype=np.int32)
-        if self.splits:
-            ids, split_feature, split_threshold, split_left = map(np.concatenate, zip(*self.splits))
-            feature[ids], threshold[ids], left[ids] = split_feature, split_threshold, split_left
-        self.made = self.splits = None
+        while self.splits:
+            ids, *split = self.splits.pop()
+            feature[ids], threshold[ids], left[ids] = split
         inner = left >= 0
         right = left + 1  # children are made in pairs
         span = np.ones(k, dtype=np.int32)  # nodes in each subtree
@@ -326,24 +350,24 @@ class _Batch:
             at = np.flatnonzero(inner & (depth == d))
             pre[left[at]] = pre[at] + 1
             pre[right[at]] = pre[at] + 1 + span[left[at]]
-        order = np.lexsort((pre, tree))
-        ends = np.cumsum(np.bincount(tree, minlength=self.T))
-        out = []
-        for lo, hi in zip(np.concatenate([[0], ends[:-1]]).tolist(), ends.tolist()):
-            nodes = order[lo:hi]
-            inner_t = inner[nodes]
-            out.append((
-                feature[nodes].tolist(),
-                threshold[nodes].tolist(),
-                np.where(inner_t, pre[left[nodes]], -1).tolist(),
-                np.where(inner_t, pre[right[nodes]], -1).tolist(),
-                value[nodes].tolist(),
-            ))
-        return out
+        del depth, span
+        left = np.where(inner, pre[left], -1)
+        right = np.where(inner, pre[right], -1)
+        del inner
+        counts = np.bincount(tree, minlength=self.T)
+        ends = np.cumsum(counts)
+        pre += (ends - counts)[tree]  # each node's place among the batch's nodes
+        del tree
+        arrays = []
+        for a in (feature, threshold, left, right, value):
+            arrays.append(np.empty_like(a))
+            arrays[-1][pre] = a
+        ends = ends.tolist()
+        return [tuple(a[lo:hi] for a in arrays) for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
-def _grow_batch(X, y, samples, streams, m, max_depth, min_leaf, n_classes):
-    batch = _Batch(X, y, samples, max_depth, min_leaf, n_classes)
+def _grow_batch(X, y, N, samples, base, streams, m, max_depth, min_leaf, n_classes):
+    batch = _Batch(X, y, N, samples, base, max_depth, min_leaf, n_classes)
     T, n, p = batch.T, batch.n, batch.p
     roots = batch.new_nodes(np.arange(T), 0, n, 0)
     todo = roots[batch.settle(roots)]
@@ -352,7 +376,7 @@ def _grow_batch(X, y, samples, streams, m, max_depth, min_leaf, n_classes):
         stacks = [[] for _ in range(T)]  # per tree, the nodes to split, next preorder node on top
         for node in todo.tolist():
             stacks[node[_TREE]].append(node)
-        table = np.empty((T, 0, m), dtype=np.int64)
+        table = np.empty((T, 0, m), dtype=np.int32)
         used = np.zeros(T, dtype=np.int64)
     while True:
         if draws:
@@ -366,7 +390,8 @@ def _grow_batch(X, y, samples, streams, m, max_depth, min_leaf, n_classes):
             if used[tree].max() >= table.shape[1]:
                 more = max(_FIRST_DRAWS, table.shape[1])
                 table = np.concatenate(
-                    [table, np.stack([feature_draws(rng, p, m, more) for rng in streams])], axis=1)
+                    [table, np.stack([feature_draws(rng, p, m, more) for rng in streams])],
+                    axis=1, dtype=np.int32)
             feats = table[tree, used[tree]]
             used[tree] += 1
         else:
@@ -396,30 +421,50 @@ def _grow_batch(X, y, samples, streams, m, max_depth, min_leaf, n_classes):
 
 
 def grow_trees(X, y, samples, streams=None, m=None, max_depth=8, min_leaf=1, n_classes=0):
-    """Grow one tree per row of ``samples`` and return each one's node lists in preorder.
+    """Grow T trees on each of K problems; return each tree's node arrays in preorder.
 
-    ``samples`` is a (T, n) array of the rows of ``X`` each tree trains on (a
-    bootstrap draw, or every row).  ``y`` holds float targets, or class codes
-    ``0 .. n_classes - 1`` when ``n_classes`` is set.  A node splits on the
-    best of ``m`` features drawn as ``np.sort(streams[t].choice(p, m,
-    replace=False))``, in preorder; with ``m`` equal to ``p`` (the default)
-    every feature is tried and nothing is drawn.  Trees are grown in batches of
-    about ``_BATCH_IDS`` row ids.
+    ``X`` is a (K, N, p) stack of problems and ``y`` their (K, N) float
+    targets, or class codes ``0 .. n_classes - 1`` when ``n_classes`` is set.
+    ``samples`` is a (K, T, n) array: ``samples[k, t]`` holds the rows of
+    ``X[k]`` that tree t of problem k trains on (a bootstrap draw, or every
+    row).  Trees come back in that order, problem by problem.  A node splits
+    on the best of ``m`` features drawn as ``np.sort(streams[i].choice(p, m,
+    replace=False))`` for tree ``i`` in that order, in preorder; with ``m``
+    equal to ``p`` (the default) every feature is tried and nothing is drawn.
+    A tree is the same whatever other trees and problems grow beside it.
+    Trees are grown in batches of about ``_BATCH_IDS`` row ids.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64 if n_classes else np.float64)
-    samples = np.asarray(samples, dtype=np.int64)
-    T, n = samples.shape
-    p = X.shape[1]
+    K, N, p = X.shape
+    X = X.reshape(K * N, p)
+    y = np.asarray(y, dtype=np.int64 if n_classes else np.float64).reshape(K * N)
+    _, T, n = samples.shape
+    samples = samples.reshape(K * T, n)
+    base = np.repeat(np.arange(K) * N, T)  # the first row of each tree's problem in X
     m = p if m is None else m
     per_batch = max(1, _BATCH_IDS // ((p + 1) * n))
     out = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, T, per_batch):
-            out += _grow_batch(X, y, samples[lo : lo + per_batch],
-                               None if streams is None else streams[lo : lo + per_batch],
+        for lo in range(0, K * T, per_batch):
+            at = slice(lo, lo + per_batch)
+            out += _grow_batch(X, y, N, samples[at], base[at],
+                               None if streams is None else streams[at],
                                m, max_depth, min_leaf, n_classes)
     return out
+
+
+def fit_stack_data(task: str, X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``fit_data`` for a stack of K problems: ``X`` (K, n, p), ``y`` (K, n) and the classes.
+
+    A classification ``y`` comes back as class codes.  All problems must
+    hold the same set of classes.
+    """
+    problems = [fit_data(task, x, yk) for x, yk in zip(X, y, strict=True)]
+    classes = problems[0][2]
+    if any(not np.array_equal(problem[2], classes) for problem in problems[1:]):
+        raise TrainingError("stacked problems must hold the same classes")
+    X, y = (np.stack([problem[j] for problem in problems]) for j in (0, 1))
+    return X, y if classes is None else np.searchsorted(classes, y), classes
 
 
 class CartTree:
@@ -430,44 +475,55 @@ class CartTree:
             self, "cart_tree", max_depth=max_depth, min_leaf=min_leaf)
         self.task = task
         # parallel node arrays in preorder; children are node ids, -1 marks a leaf
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+        self.feature = self.left = self.right = np.empty(0, dtype=np.int32)
+        self.threshold = self.value = np.empty(0)
         self.classes_: np.ndarray | None = None
 
-    def set_nodes(self, nodes: tuple[list, list, list, list, list]) -> "CartTree":
+    def set_nodes(self, nodes: tuple[np.ndarray, ...]) -> "CartTree":
         self.feature, self.threshold, self.left, self.right, self.value = nodes
         return self
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> "CartTree":
         """Grow the tree; the fit is deterministic, so ``seed`` is ignored."""
-        X, y, self.classes_ = fit_data(self.task, X, y)
-        n_classes = 0 if self.classes_ is None else len(self.classes_)
-        y = np.searchsorted(self.classes_, y) if n_classes else y
-        (nodes,) = grow_trees(X, y, np.arange(len(X))[None], max_depth=self.max_depth,
-                              min_leaf=self.min_leaf, n_classes=n_classes)
-        return self.set_nodes(nodes)
+        (fitted,) = self.fit_stack(np.asarray(X)[None], np.asarray(y)[None], seed)
+        vars(self).update(vars(fitted))
+        return self
+
+    def fit_stack(self, X: np.ndarray, y: np.ndarray, seed: int = 0) -> list["CartTree"]:
+        """Fit K problems of one shape, ``X`` (K, n, p) and ``y`` (K, n), at once.
+
+        Tree k is byte-identical to ``fit(X[k], y[k])``.  In classification
+        all problems must hold the same set of classes.
+        """
+        X, y, classes = fit_stack_data(self.task, X, y)
+        K, n, _ = X.shape
+        samples = np.broadcast_to(np.arange(n, dtype=np.int32), (K, 1, n))
+        grown = grow_trees(X, y, samples, max_depth=self.max_depth, min_leaf=self.min_leaf,
+                           n_classes=0 if classes is None else len(classes))
+        trees = []
+        for nodes in grown:
+            tree = copy.copy(self).set_nodes(nodes)
+            tree.classes_ = classes
+            trees.append(tree)
+        return trees
 
     # -- prediction --------------------------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.feature:
+        if not len(self.feature):
             raise TrainingError("model is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        leaf = np.asarray(self.feature) < 0
+        leaf = self.feature < 0
         own = np.arange(len(leaf))
         # a leaf tests feature 0 and leads back to itself, so finished rows stay put
         feature = np.where(leaf, 0, self.feature)
-        threshold = np.asarray(self.threshold, dtype=np.float64)
         left = np.where(leaf, own, self.left)
         right = np.where(leaf, own, self.right)
         rows = np.arange(len(X))
         node = np.zeros(len(X), dtype=np.int64)
         while not leaf[node].all():  # one tree level per pass
-            node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
-        out = np.asarray(self.value, dtype=np.float64)[node]
+            node = np.where(X[rows, feature[node]] <= self.threshold[node], left[node], right[node])
+        out = self.value[node]
         if self.task == "classification":
             return self.classes_[out.astype(np.int64)]
         return out
@@ -477,11 +533,11 @@ class CartTree:
             "max_depth": self.max_depth,
             "min_leaf": self.min_leaf,
             "task": self.task,
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "value": self.value.tolist(),
             "classes": None if self.classes_ is None else self.classes_.tolist(),
         }
 
@@ -525,8 +581,7 @@ class CartTree:
                 i = int(np.argmax(bad))
                 fail((*path, key, i), what, s[key][i], typed=True)
         tree = cls(max_depth=s["max_depth"], min_leaf=s["min_leaf"], task=s["task"])
-        tree.set_nodes((feature.tolist(), s["threshold"].tolist(), left.tolist(), right.tolist(),
-                        value.tolist()))
+        tree.set_nodes((feature, s["threshold"], left, right, value))
         tree.classes_ = classes
         return tree
 

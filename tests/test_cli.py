@@ -497,6 +497,21 @@ class TestModelCommands:
         assert "'label'" in err and "row 2" in err and "error: None" not in err
         assert not (tmp_path / "model.json").exists()
 
+    def test_knn_search_on_a_ten_row_table(self, tmp_path):
+        # 5 folds train on 8 rows each, and the default k range reaches 25: the
+        # sampled 13 and 19 are capped at 8 instead of failing the search
+        x = np.linspace(0.0, 1.0, 10)
+        table = ResultTable(index=np.arange(10), status=np.ones(10, dtype=bool),
+                            columns={"x": x, "y": 2.0 * x})
+        data, cv = tmp_path / "ten.csv", tmp_path / "cv.json"
+        table.to_csv(data)
+        assert run_cli(
+            "model", "search", "--data", str(data), "--target", "y",
+            "--task", "regression", "--family", "knn", "--k", "5", "--budget", "3",
+            "--seed", "1", "--out", str(tmp_path / "model.json"), "--cv-report", str(cv),
+        ) == 0
+        assert [e["params"]["k"] for e in json.loads(cv.read_text())["evaluated"]] == [8, 8, 2]
+
     def test_smote_subcommand(self, tmp_path):
         g = substream(3, 0)
         n_min, n_maj = 8, 40

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import simfarm.models.forest as forest_module
 import simfarm.models.selection as selection
+import simfarm.models.tree as tree_module
 from simfarm.errors import InvalidArgumentError
 from simfarm.models import (
     ModelSpec,
@@ -15,6 +17,7 @@ from simfarm.models import (
     random_search_cv_table,
 )
 from simfarm.models import save_model, train
+from simfarm.models.spec import sample_params
 from simfarm.rng import substream
 from simfarm.tables import DataColumn
 
@@ -159,11 +162,11 @@ def train_each_fold(spec, xs, ys, seed=0):
     return [train(spec, x, y, seed=seed) for x, y in zip(xs, ys)]
 
 
-@pytest.mark.parametrize("task", ["regression", "classification"])
-@pytest.mark.parametrize("entry", ["table", "matrix"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_mlp_search_matches_per_fold_training(monkeypatch, tmp_path, task, entry):
-    # 61 rows in 4 folds train on 45 or 46 rows, so each configuration fits two stacks.
+def search_bytes_match_per_fold_training(monkeypatch, tmp_path, family, task, entry):
+    """A search's CvReport and saved model equal those of a per-fold ``train`` loop.
+
+    61 rows in 4 folds train on 45 or 46 rows, so each configuration fits two stacks.
+    """
     g = substream(21, 0)
     n = 61
     x1 = g.normal(10, 3, n)
@@ -172,7 +175,7 @@ def test_mlp_search_matches_per_fold_training(monkeypatch, tmp_path, task, entry
     if task == "classification":
         y = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3])).astype(np.int64)
     features = [DataColumn.numeric("x1", x1), DataColumn.categorical("grp", levels)]
-    spec = default_spec("mlp", task)
+    spec = default_spec(family, task)
 
     def search():
         if entry == "table":
@@ -188,3 +191,47 @@ def test_mlp_search_matches_per_fold_training(monkeypatch, tmp_path, task, entry
     stacked = outputs("stacked.json")
     monkeypatch.setattr(selection, "train_folds", train_each_fold)
     assert stacked == outputs("per_fold.json")
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("entry", ["table", "matrix"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mlp_search_matches_per_fold_training(monkeypatch, tmp_path, task, entry):
+    search_bytes_match_per_fold_training(monkeypatch, tmp_path, "mlp", task, entry)
+
+
+@pytest.mark.parametrize("family", ["cart_tree", "random_forest"])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("entry", ["table", "matrix"])
+def test_tree_search_matches_per_fold_training(monkeypatch, tmp_path, family, task, entry):
+    search_bytes_match_per_fold_training(monkeypatch, tmp_path, family, task, entry)
+
+
+@pytest.mark.parametrize("family,module", [("cart_tree", tree_module),
+                                           ("random_forest", forest_module)])
+def test_a_tree_configuration_grows_its_folds_in_one_call(monkeypatch, family, module):
+    # 60 rows in 5 folds: every fold trains on 48 rows, so the folds form one stack
+    g = substream(22, 0)
+    x = g.normal(0, 1, (60, 3))
+    y = x[:, 0] + g.normal(0, 0.1, 60)
+    calls = []
+    grow = module.grow_trees
+
+    def counted(X, *args, **kwargs):
+        calls.append(len(X))
+        return grow(X, *args, **kwargs)
+
+    monkeypatch.setattr(module, "grow_trees", counted)
+    random_search_cv(default_spec(family, "regression"), x, y, k=5, budget=3, seed=2)
+    assert calls == [5, 5, 5, 1]  # one call per configuration, then the refit
+
+
+def test_a_sampled_knn_k_is_capped_at_the_smallest_training_fold():
+    spec = default_spec("knn", "regression")
+    drawn = [sample_params(spec, substream(9, i))["k"] for i in range(40)]
+    assert max(drawn) > 8
+    for rows in (8, 24, 25, 800):
+        capped = [sample_params(spec, substream(9, i), rows=rows)["k"] for i in range(40)]
+        assert capped == [min(k, rows) for k in drawn]  # unchanged from 25 training rows up
+    fixed = ModelSpec("knn", "regression", {"k": 30})
+    assert sample_params(fixed, substream(9, 0), rows=8) == {"k": 30}  # as the user set it

@@ -233,6 +233,81 @@ class TestRandomForest:
         assert acc > 0.9
 
 
+    @staticmethod
+    def _fold_stack(k):
+        g = substream(19, 0)
+        x = g.normal(0, 1, (k, 800, 3))
+        return x, x[..., 0] + np.sin(3.0 * x[..., 1]) + g.normal(0, 0.1, (k, 800))
+
+    def test_fold_stack_memory_is_bounded(self):
+        # 5 folds of a 42-tree forest at 800 x 3 grow as one batch of 210 trees:
+        # 2.6 MiB of row lists, 0.6 MiB of samples and about 3 MiB of node data
+        # for 62 000 nodes; the peak is 6.8 MiB
+        x, y = self._fold_stack(5)
+        forest = RandomForest(n_trees=42, max_depth=8, min_leaf=2, feature_fraction=0.68)
+        tracemalloc.start()
+        try:
+            forest.fit_stack(x, y, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2**20
+
+    def test_batch_memory_grows_with_its_own_trees_and_rows(self, monkeypatch):
+        # k = 10: 420 trees of 800 rows.  A batch's row lists and left flags are
+        # sized by its own trees and one fold's rows, never by the k folds of the stack.
+        batches = []
+        init = tree_module._Batch.__init__
+
+        def watched_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            batches.append((self.T, self.rows.nbytes, self.goes_left.nbytes))
+
+        monkeypatch.setattr(tree_module._Batch, "__init__", watched_init)
+        RandomForest(n_trees=42, max_depth=3, feature_fraction=0.68).fit_stack(
+            *self._fold_stack(10), seed=1)
+        assert [t for t, _, _ in batches] == [327, 93]  # at most 2^20 ids of (3 + 1) * 800
+        for t, rows, flags in batches:
+            assert rows == t * 4 * 800 * 4 and flags == t * 800
+
+
+@pytest.mark.parametrize("family", ["cart_tree", "random_forest"])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_train_folds_stacks_tree_folds_by_shape_and_classes(monkeypatch, family, task):
+    # 53 rows in 5 folds train on 42 or 43 rows: two stacks.  In classification
+    # class 2 sits only in fold 0's held-out rows, so fold 0 gets a stack of its own.
+    g = substream(20, 0)
+    n = 53
+    x = g.normal(0, 1, (n, 3))
+    folds = kfold_split(n, 5, seed=1)
+    if task == "classification":
+        y = (x[:, 0] > 0).astype(np.int64)
+        y[folds[0][:4]] = 2
+        want_stacks = [1, 2, 2]
+    else:
+        y = 3.0 * x[:, 0] + g.normal(0, 0.1, n)
+        want_stacks = [2, 3]
+    train_idx = [np.setdiff1d(np.arange(n), fold) for fold in folds]
+    params = {"max_depth": 4, "min_leaf": 2}
+    if family == "random_forest":
+        params.update(n_trees=7, feature_fraction=0.6)
+    spec = ModelSpec(family, task, params)
+    cls = {"cart_tree": CartTree, "random_forest": RandomForest}[family]
+    stacks = []
+    fit_stack = cls.fit_stack
+
+    def recording_fit_stack(self, X, y, seed=0):
+        stacks.append(len(X))
+        return fit_stack(self, X, y, seed)
+
+    monkeypatch.setattr(cls, "fit_stack", recording_fit_stack)
+    got = list(train_folds(spec, [x[i] for i in train_idx], [y[i] for i in train_idx], seed=4))
+    assert sorted(stacks) == want_stacks
+    for fold_model, idx in zip(got, train_idx, strict=True):
+        alone = cls(task=task, **params).fit(x[idx], y[idx], seed=4)
+        assert json.dumps(fold_model.model.to_state()) == json.dumps(alone.to_state())
+
+
 def reference_mlp_fit(model: MlpModel, X, y, seed: int) -> MlpModel:
     """The per-batch gather and loss-computing SGD loop that ``fit`` replaced."""
     if model.task == "classification":

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import simfarm.models.tree as tree_module
+from simfarm.errors import TrainingError
 from simfarm.models import CartTree, RandomForest
 from simfarm.models.tree import feature_draws
 from simfarm.rng import substream
@@ -149,6 +150,7 @@ class ReferenceTree(CartTree):
 
     def fit(self, X, y, rng=None, feature_fraction=1.0):
         X = np.asarray(X, dtype=np.float64)
+        self.set_nodes(([], [], [], [], []))  # built node by node, then kept as arrays
         if self.task == "classification":
             y = np.asarray(y)
             self.classes_ = np.unique(y)
@@ -156,7 +158,8 @@ class ReferenceTree(CartTree):
             self._ref_build(X, codes.astype(np.int64), 0, rng, feature_fraction)
         else:
             self._ref_build(X, np.asarray(y, dtype=np.float64), 0, rng, feature_fraction)
-        return self
+        return self.set_nodes(tuple(np.asarray(a) for a in (
+            self.feature, self.threshold, self.left, self.right, self.value)))
 
 
 def walk_rows(tree: CartTree, X: np.ndarray) -> np.ndarray:
@@ -270,6 +273,71 @@ def test_forest_is_independent_of_block_and_batch_sizes(monkeypatch, task):
     monkeypatch.setattr(tree_module, "_SPLIT_BLOCK", 64)
     monkeypatch.setattr(tree_module, "_FIRST_DRAWS", 1)
     assert RandomForest(**params).fit(X, y, seed=2).to_state() == default
+
+
+def stacked(kind, task, seeds, n):
+    """``dataset`` problems of one shape as (K, n, p) and (K, n) arrays."""
+    X, y = zip(*(dataset(kind, task, n=n, seed=seed) for seed in seeds))
+    return np.stack(X), np.stack(y)
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("kind", ["constant", "continuous", "duplicates"])
+def test_cart_stack_matches_per_problem_fits(task, kind):
+    X, y = stacked(kind, task, seeds=(4, 7, 9), n=240)  # each holds classes 0-3
+    params = dict(max_depth=6, min_leaf=2, task=task)
+    got = CartTree(**params).fit_stack(X, y)
+    assert len(got) == 3
+    for tree, x, yk in zip(got, X, y, strict=True):
+        alone = CartTree(**params).fit(x, yk)
+        assert json.dumps(tree.to_state()) == json.dumps(alone.to_state())
+        assert tree.to_state() == ReferenceTree(**params).fit(x, yk).to_state()
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("feature_fraction", [0.5, 1.0])  # lockstep preorder, level-wise
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_stack_matches_per_problem_fits(task, feature_fraction, bootstrap):
+    X, y = stacked("continuous", task, seeds=(6, 7, 8), n=150)
+    params = dict(n_trees=3, max_depth=7, min_leaf=2, feature_fraction=feature_fraction,
+                  bootstrap=bootstrap, task=task)
+    got = RandomForest(**params).fit_stack(X, y, seed=4)
+    assert len(got) == 3
+    for forest, x, yk in zip(got, X, y, strict=True):
+        alone = RandomForest(**params).fit(x, yk, seed=4)
+        assert json.dumps(forest.to_state()) == json.dumps(alone.to_state())
+        assert forest.to_state()["trees"] == reference_forest(x, yk, 4, **params)
+
+
+def test_forest_stack_keeps_each_problems_one_class_fallback():
+    X = np.arange(12.0).reshape(6, 2)
+    X = np.stack([X, X[::-1]])
+    y = np.array([[0, 0, 0, 0, 1, 2], [0, 1, 0, 0, 0, 2]])
+    params = dict(n_trees=12, max_depth=3, min_leaf=1, feature_fraction=0.5,
+                  bootstrap=True, task="classification")
+    got = RandomForest(**params).fit_stack(X, y, seed=3)
+    for forest, x, yk in zip(got, X, y, strict=True):
+        draws = [yk[substream(3, t).integers(0, 6, size=6)] for t in range(12)]
+        assert any(len(np.unique(d)) == 1 for d in draws)  # the full-sample fallback runs
+        assert forest.to_state()["trees"] == reference_forest(x, yk, 3, **params)
+
+
+@pytest.mark.parametrize("cls", [CartTree, RandomForest])
+def test_stack_with_different_classes_rejected(cls):
+    X = np.zeros((2, 6, 2))
+    y = np.array([[0, 1, 2, 0, 1, 2], [0, 1, 0, 1, 0, 1]])
+    with pytest.raises(TrainingError, match="same classes"):
+        cls(task="classification").fit_stack(X, y)
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_forest_stack_is_independent_of_batch_size(monkeypatch, task):
+    X, y = stacked("continuous", task, seeds=(6, 7), n=200)
+    params = dict(n_trees=5, max_depth=8, min_leaf=1, feature_fraction=0.5, task=task)
+    default = [f.to_state() for f in RandomForest(**params).fit_stack(X, y, seed=2)]
+    # batches of 3 trees: one batch holds trees of both problems
+    monkeypatch.setattr(tree_module, "_BATCH_IDS", 3 * 5 * 200)
+    assert [f.to_state() for f in RandomForest(**params).fit_stack(X, y, seed=2)] == default
 
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
