@@ -11,6 +11,7 @@ is bit-reproducible.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -23,50 +24,76 @@ from .state import STATE_CLASSES, STATE_TASK, array, hyperparameters, state_clas
 __all__ = ["MlpModel"]
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 # The passes below take one problem's 2-D matrices, or K problems stacked
 # along a leading axis: weights (K, a, b), biases (K, 1, b).  Batched
 # ``matmul`` runs the same kernel on every slice, and the bias gradient sums
 # over the rows of each slice, so stacked problem k gets the bits that its
-# own 2-D pass would.
+# own 2-D pass would.  An SGD step on small matrices costs mostly NumPy call
+# overhead, so the passes work in place on the arrays they make and can write
+# the gradients into buffers that ``_train`` allocates once.  They keep the
+# values of ``relu(a @ w + b)`` and ``2 * (out - target) / n`` bit for bit:
+# the same ``matmul`` operands and the same operations in the same order, with
+# no factor folded into a product and no sum reordered.  Diverging fits sit on
+# an overflow edge, where one changed bit can turn a finite fold score into NaN.
 
 
 def _forward_pass(X: np.ndarray, weights: list, biases: list) -> list[np.ndarray]:
     """Activations of every layer, input first."""
     acts = [X]
-    for layer in range(len(weights) - 1):
-        acts.append(_relu(acts[-1] @ weights[layer] + biases[layer]))
-    acts.append(acts[-1] @ weights[-1] + biases[-1])
+    last = len(weights) - 1
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w
+        z += b
+        if layer < last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts
 
 
-def _backward_pass(task: str, acts: list[np.ndarray], target: np.ndarray, weights: list):
+def _backward_pass(task: str, acts: list[np.ndarray], target: np.ndarray, weights: list,
+                   grads_w: list | None = None, grads_b: list | None = None):
     """Gradients of the mean batch loss for every weight and bias.
 
-    A bias gradient keeps the summed row axis with length 1.
+    A bias gradient keeps the summed row axis with length 1.  ``grads_w`` and
+    ``grads_b``, if given, hold arrays of those shapes that the gradients are
+    written into.
     """
     out = acts[-1]
     if task == "regression":
-        delta = 2.0 * (out - target) / (out.shape[-2] * out.shape[-1])
+        delta = out - target
+        delta *= 2.0
+        delta /= out.shape[-2] * out.shape[-1]
     else:
-        delta = (_softmax(out) - target) / out.shape[-2]
-    grads_w = [np.empty(0)] * len(weights)
-    grads_b = [np.empty(0)] * len(weights)
+        delta = _softmax(out)
+        delta -= target
+        delta /= out.shape[-2]
+    grads_w = [None] * len(weights) if grads_w is None else grads_w
+    grads_b = [None] * len(weights) if grads_b is None else grads_b
     for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].swapaxes(-1, -2) @ delta
-        grads_b[layer] = delta.sum(axis=-2, keepdims=True)
+        grads_w[layer] = np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads_w[layer])
+        grads_b[layer] = np.add.reduce(delta, axis=-2, keepdims=True, out=grads_b[layer])
         if layer > 0:
-            delta = (delta @ weights[layer].swapaxes(-1, -2)) * (acts[layer] > 0.0)
+            delta = delta @ weights[layer].swapaxes(-1, -2)
+            delta *= acts[layer] > 0.0
     return grads_w, grads_b
+
+
+def _layer_views(flat: np.ndarray, n_problems: int, sizes: list[int]):
+    """Weights (K, a, b) and biases (K, 1, b) of every layer as views of ``flat``."""
+    weights, biases, start = [], [], 0
+    for a, b in zip(sizes, sizes[1:]):
+        for shape, arrays in (((n_problems, a, b), weights), ((n_problems, 1, b), biases)):
+            stop = start + math.prod(shape)
+            arrays.append(flat[start:stop].reshape(shape))
+            start = stop
+    return weights, biases
 
 
 class MlpModel:
@@ -166,9 +193,18 @@ class MlpModel:
             raise TrainingError("stacked problems must hold the same classes")
         X, y = (np.stack([p[j] for p in problems]) for j in (0, 1))
         n_problems, n, n_in = X.shape
-        self._init_params(n_in, 1 if self.classes_ is None else len(self.classes_), seed)
-        weights = [np.repeat(w[None], n_problems, axis=0) for w in self.weights]
-        biases = [np.repeat(b[None, None], n_problems, axis=0) for b in self.biases]
+        n_out = 1 if self.classes_ is None else len(self.classes_)
+        self._init_params(n_in, n_out, seed)
+        # one flat array holds every weight and bias, another every gradient,
+        # so a step's update is two calls, not two per array
+        sizes = [n_in, *self.hidden, n_out]
+        n_params = n_problems * sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+        params, grads = np.empty(n_params), np.empty(n_params)
+        weights, biases = _layer_views(params, n_problems, sizes)
+        grads_w, grads_b = _layer_views(grads, n_problems, sizes)
+        for w, w0, b, b0 in zip(weights, self.weights, biases, self.biases, strict=True):
+            w[...] = w0
+            b[...] = b0
         target = np.stack([self._encode_targets(yk) for yk in y])
         for epoch in range(self.epochs):
             order = substream(seed, 1, epoch).permutation(n)
@@ -176,12 +212,10 @@ class MlpModel:
             for start in range(0, n, self.batch_size):
                 stop = start + self.batch_size
                 acts = _forward_pass(X_epoch[:, start:stop], weights, biases)
-                grads_w, grads_b = _backward_pass(
-                    self.task, acts, target_epoch[:, start:stop], weights
-                )
-                for layer in range(len(weights)):
-                    weights[layer] -= self.learning_rate * grads_w[layer]
-                    biases[layer] -= self.learning_rate * grads_b[layer]
+                _backward_pass(self.task, acts, target_epoch[:, start:stop], weights,
+                               grads_w, grads_b)
+                grads *= self.learning_rate
+                params -= grads
         return weights, biases
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Distances are Euclidean over the (already preprocessed) feature matrix;
 neighbor ties break by training-row order, class-vote ties by the smallest
-class label.
+class label.  Test rows go in blocks of about ``_BLOCK`` difference elements,
+and each block picks its k nearest by partial selection (``_k_smallest``), not
+by sorting whole rows: the same neighbors in the same order as a stable
+``argsort``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class KnnModel:
         for start in range(0, len(X), step):
             block = X[start : start + step]
             d2 = ((block[:, None, :] - self._X[None, :, :]) ** 2).sum(axis=2)
-            nearest[start : start + step] = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+            nearest[start : start + step] = _k_smallest(d2, self.k)
         if self.task == "regression":
             return self._y[nearest].mean(axis=1)
         return majority(self.classes_, self._y[nearest])
@@ -84,6 +87,24 @@ class KnnModel:
         model._X, model.classes_ = X, classes
         model._y = y if classes is None else y.astype(np.int64)
         return model
+
+
+def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the ``k`` smallest entries of each row of ``d2``, nearest first.
+
+    The same columns, in the same order, as ``np.argsort(d2, kind="stable")[:, :k]``,
+    NaN last, without sorting whole rows: every entry not above the row's k-th
+    smallest value is a candidate, and one stable sort of the candidates by
+    (row, distance) keeps tied distances in column order.  ``~(d2 > kth)``
+    rather than ``d2 <= kth`` keeps NaN entries as candidates, so a row whose
+    k-th value is NaN still has k of them.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(~(d2 > kth))
+    order = np.lexsort((d2[rows, cols], rows))
+    # rows is sorted, so row r's candidates start at first[r] before and after ``order``
+    first = np.searchsorted(rows, np.arange(len(d2)))
+    return cols[order][first[:, None] + np.arange(k)]
 
 
 STATE = obj({**KnnModel.HYPERPARAMETERS, "task": STATE_TASK, "X": array(np.float64, 2),

@@ -10,6 +10,7 @@ from simfarm.errors import InvalidArgumentError, ModelSpecError, TrainingError
 from simfarm.models import KnnModel, ModelSpec, kfold_split, train
 from simfarm.models.forest import RandomForest
 from simfarm.models.mlp import MlpModel, _softmax
+from simfarm.models.preprocess import fit_data
 from simfarm.models.serialize import model_to_dict
 from simfarm.models.train import train_folds
 from simfarm.models.tree import CartTree
@@ -82,6 +83,27 @@ class TestKnn:
         x_test = np.vstack([x[:10], np.round(g.normal(0, 1, (190, 9)), 1)])
         monkeypatch.setattr(neighbors_module, "_BLOCK", block)
         for k in (1, 4, 6):
+            model = KnnModel(k=k, task=task).fit(x, y)
+            got = model.predict(x_test)
+            want = knn_predict_rows(model, x_test)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_partial_selection_matches_stable_argsort(self, monkeypatch, task, p):
+        # Features in {0, 1, 2} tie many distances; 50 test rows go in blocks of
+        # 16, and a NaN feature makes one row's distances all NaN.
+        g = substream(23, p)
+        x = g.integers(0, 3, (40, p)).astype(np.float64)
+        if task == "classification":
+            y = np.array([2, 5, 9])[g.integers(0, 3, 40)]
+        else:
+            y = g.normal(0, 1, 40)
+        x_test = np.vstack([x[:5], g.integers(0, 3, (45, p))]).astype(np.float64)
+        x_test[7, 0] = np.nan
+        monkeypatch.setattr(neighbors_module, "_BLOCK", 16 * x.size)
+        for k in (1, 3, len(x)):
             model = KnnModel(k=k, task=task).fit(x, y)
             got = model.predict(x_test)
             want = knn_predict_rows(model, x_test)
@@ -343,7 +365,88 @@ def reference_mlp_fit(model: MlpModel, X, y, seed: int) -> MlpModel:
     return model
 
 
+def _stacked_forward_pass(X, weights, biases):
+    acts = [X]
+    for layer in range(len(weights) - 1):
+        acts.append(np.maximum(acts[-1] @ weights[layer] + biases[layer], 0.0))
+    acts.append(acts[-1] @ weights[-1] + biases[-1])
+    return acts
+
+
+def _stacked_backward_pass(task, acts, target, weights):
+    out = acts[-1]
+    if task == "regression":
+        delta = 2.0 * (out - target) / (out.shape[-2] * out.shape[-1])
+    else:
+        z = out - out.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        delta = (e / e.sum(axis=-1, keepdims=True) - target) / out.shape[-2]
+    grads_w = [np.empty(0)] * len(weights)
+    grads_b = [np.empty(0)] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].swapaxes(-1, -2) @ delta
+        grads_b[layer] = delta.sum(axis=-2, keepdims=True)
+        if layer > 0:
+            delta = (delta @ weights[layer].swapaxes(-1, -2)) * (acts[layer] > 0.0)
+    return grads_w, grads_b
+
+
+def stacked_reference_train(model: MlpModel, X, y, seed: int):
+    """The stacked SGD loop with one array per weight, bias and gradient that the
+    preallocated parameter buffer of ``MlpModel._train`` replaced."""
+    problems = [fit_data(model.task, x, yk) for x, yk in zip(X, y, strict=True)]
+    model.classes_ = problems[0][2]
+    X, y = (np.stack([p[j] for p in problems]) for j in (0, 1))
+    n_problems, n, n_in = X.shape
+    model._init_params(n_in, 1 if model.classes_ is None else len(model.classes_), seed)
+    weights = [np.repeat(w[None], n_problems, axis=0) for w in model.weights]
+    biases = [np.repeat(b[None, None], n_problems, axis=0) for b in model.biases]
+    target = np.stack([model._encode_targets(yk) for yk in y])
+    for epoch in range(model.epochs):
+        order = substream(seed, 1, epoch).permutation(n)
+        X_epoch, target_epoch = X[:, order], target[:, order]
+        for start in range(0, n, model.batch_size):
+            stop = start + model.batch_size
+            acts = _stacked_forward_pass(X_epoch[:, start:stop], weights, biases)
+            grads_w, grads_b = _stacked_backward_pass(
+                model.task, acts, target_epoch[:, start:stop], weights
+            )
+            for layer in range(len(weights)):
+                weights[layer] -= model.learning_rate * grads_w[layer]
+                biases[layer] -= model.learning_rate * grads_b[layer]
+    return weights, biases
+
+
 class TestMlp:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("hidden", [(8,), (6, 5)])
+    @pytest.mark.parametrize("n_problems", [1, 3])
+    @pytest.mark.parametrize("learning_rate, scale, diverges", [(0.01, 1.0, False),
+                                                                (1.0, 1e3, True)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_matches_stacked_reference_loop(self, task, hidden, n_problems,
+                                                  learning_rate, scale, diverges):
+        # 61 rows in batches of 16 leave a short last batch.  A target near 1e3
+        # with a large learning rate overflows to inf and NaN (in the first of
+        # the three (6, 5) problems, in all (8,) ones), so the NaNs are pinned too.
+        g = substream(22, 0)
+        x = g.normal(0, 1, (n_problems, 61, 3))
+        y = scale * x[:, :, 0] + g.normal(0, 1, (n_problems, 61))
+        if task == "classification":
+            y = np.digitize(y, [-0.3 * scale, 0.3 * scale])
+        params = dict(hidden=hidden, learning_rate=learning_rate, epochs=5, batch_size=16,
+                      task=task)
+        got_w, got_b = MlpModel(**params)._train(x, y, seed=6)
+        want_w, want_b = stacked_reference_train(MlpModel(**params), x, y, seed=6)
+        for a, b in zip(got_w + got_b, want_w + want_b, strict=True):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)
+            assert a.tobytes() == b.tobytes()
+        if task == "regression":
+            assert np.isnan(want_w[0][0]).any() == diverges
+            if hidden == (6, 5) and n_problems == 3:
+                assert not np.isnan(want_w[0][1:]).any()
+
     @pytest.mark.parametrize("task", ["regression", "classification"])
     @pytest.mark.parametrize("hidden", [(4,), (32,), (6, 5), (3, 2)])
     @pytest.mark.parametrize("batch_size", [7, 32, 53, 64])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from simfarm.rng import first_standard_normals, substream
+from simfarm.rng import _splitmix64_words, first_standard_normals, splitmix64, stream_index
+from simfarm.rng import substream
 
 
 def reference(seed, indices):
@@ -58,3 +59,28 @@ class TestFirstStandardNormals:
 
     def test_empty(self):
         assert first_standard_normals(1, np.empty(0, dtype=np.int64)).shape == (0,)
+
+
+def array_stream_index(*indices):
+    """:func:`stream_index` chained through the ``uint64`` array path."""
+    mix = 0
+    for i in indices:
+        word = np.array([mix ^ (int(i) & (2**64 - 1))], dtype=np.uint64)
+        mix = int(_splitmix64_words(word)[0])
+    return mix
+
+
+class TestSplitmix64:
+    VALUES = [0, 1, 2**63, 2**64 - 1, -1, 2**70, np.int64(-5), np.uint64(2**64 - 1), np.int32(7)]
+
+    @pytest.mark.parametrize("z", VALUES)
+    def test_scalar_path_matches_array_path(self, z):
+        want = int(_splitmix64_words(np.array([int(z) & (2**64 - 1)], dtype=np.uint64))[0])
+        got = splitmix64(z)
+        assert type(got) is int and got == want
+
+    def test_stream_index_matches_array_path(self):
+        assert stream_index() == 0
+        assert stream_index(1, 5) == 12773366489153039575
+        for indices in ([1, 5], self.VALUES, [7, 0, 2**64 - 1, -(2**63)]):
+            assert stream_index(*indices) == array_stream_index(*indices)
