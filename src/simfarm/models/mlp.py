@@ -2,10 +2,17 @@
 
 One or two ReLU hidden layers; identity output with mean-squared-error loss
 for regression, softmax with cross-entropy for classification.  No momentum,
-adaptive rates, or early stopping: the gradient computation stays small
-enough to audit against finite differences (see the test suite).  Weight
-initialization and batch shuffling come from seeded substreams, so training
-is bit-reproducible.
+adaptive rates, or early stopping on a validation score: the gradient
+computation stays small enough to audit against finite differences (see the
+test suite).  Weight initialization and batch shuffling come from seeded
+substreams, so training is bit-reproducible.
+
+Training ends before ``epochs`` only once every weight and bias is NaN, as
+plain SGD on a large raw target can make them.  From there no step changes a
+bit: every ``matmul`` output has a NaN term (0 * NaN is NaN), so every
+activation, delta and gradient is NaN (ReLU's ``np.maximum`` and the softmax
+keep NaN), and ``params -= grads`` keeps the NaN of its first operand.  The
+stopped fit holds the bytes the remaining epochs would have left.
 """
 
 from __future__ import annotations
@@ -169,7 +176,9 @@ class MlpModel:
 
         Model k is bit-identical to ``fit(X[k], y[k], seed)``: every problem
         starts from the same weights and sees the same batch order.  In
-        classification all problems must hold the same set of classes.
+        classification all problems must hold the same set of classes.  The
+        stack stops early only when every problem is all NaN; one live
+        problem keeps the whole stack training every epoch.
         """
         trainer = copy.copy(self)
         weights, biases = trainer._train(X, y, seed)
@@ -185,7 +194,11 @@ class MlpModel:
         """SGD on stacked problems; returns weights (K, a, b) and biases (K, 1, b).
 
         Each problem ``(X[k], y[k])`` goes through ``fit_data``.  Sets
-        ``classes_`` and leaves the initial weights in ``weights``.
+        ``classes_`` and leaves the initial weights in ``weights``.  The epoch
+        loop ends after an epoch that leaves every weight and bias of the
+        stack NaN, since no later step could change a bit of them (see the
+        module docstring).  One NaN or an inf is not absorbing, so a stack
+        with any parameter that is not NaN trains every epoch.
         """
         problems = [fit_data(self.task, x, yk) for x, yk in zip(X, y, strict=True)]
         self.classes_ = problems[0][2]
@@ -216,6 +229,8 @@ class MlpModel:
                                grads_w, grads_b)
                 grads *= self.learning_rate
                 params -= grads
+            if np.isnan(params).all():  # all-NaN is a fixed point of the step
+                break
         return weights, biases
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -3,13 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import simfarm.models.mlp as mlp_module
 import simfarm.models.neighbors as neighbors_module
 import simfarm.models.tree as tree_module
 from simfarm.errors import InvalidArgumentError, ModelSpecError, TrainingError
 from simfarm.models import KnnModel, ModelSpec, kfold_split, train
 from simfarm.models.forest import RandomForest
-from simfarm.models.mlp import MlpModel, _softmax
+from simfarm.models.mlp import (MlpModel, _backward_pass, _forward_pass, _layer_views,
+                                _softmax)
 from simfarm.models.preprocess import fit_data
 from simfarm.models.serialize import model_to_dict
 from simfarm.models.train import train_folds
@@ -446,6 +450,103 @@ class TestMlp:
             assert np.isnan(want_w[0][0]).any() == diverges
             if hidden == (6, 5) and n_problems == 3:
                 assert not np.isnan(want_w[0][1:]).any()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("hidden", [(8,), (6, 5)])
+    @pytest.mark.parametrize("nan", [np.nan, -np.nan], ids=["nan", "negative-nan"])
+    def test_all_nan_parameters_are_a_fixed_point_of_the_step(self, task, hidden, nan):
+        # Why ``_train`` may stop once every weight and bias is NaN: every
+        # activation past the input and every gradient is NaN, even for an
+        # all-zero input row, and the SGD step keeps every bit of ``params``.
+        # A ReLU that maps NaN to 0, as ``np.fmax`` does, fails here.
+        g = substream(24, 0)
+        x = g.normal(0, 1, (2, 7, 3))
+        x[:, 2] = 0.0
+        if task == "regression":
+            target = g.normal(0, 1, (2, 7, 1))
+        else:
+            target = np.eye(3)[g.integers(0, 3, (2, 7))]
+        sizes = [3, *hidden, target.shape[-1]]
+        n_params = 2 * sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+        params, grads = np.full(n_params, nan), np.empty(n_params)
+        weights, biases = _layer_views(params, 2, sizes)
+        grads_w, grads_b = _layer_views(grads, 2, sizes)
+        before = params.tobytes()
+        acts = _forward_pass(x, weights, biases)
+        assert all(np.isnan(a).all() for a in acts[1:])
+        _backward_pass(task, acts, target, weights, grads_w, grads_b)
+        assert np.isnan(grads).all()
+        grads *= 0.01
+        params -= grads
+        assert params.tobytes() == before
+
+    @pytest.mark.parametrize("learning_rate, scales, stops", [(20.0, (1e3, 1e3), True),
+                                                              (0.1, (1e3, 1.0), False)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_training_stops_after_the_first_all_nan_epoch(self, monkeypatch, learning_rate,
+                                                         scales, stops):
+        # Both problems of the first stack are NaN in every weight and bias
+        # after epoch 2 of 40; in the second, problem 0 diverges and problem
+        # 1 stays finite, so the stack trains all 40 epochs.
+        g = substream(23, 0)
+        x = g.normal(0, 1, (2, 61, 3))
+        y = np.array(scales)[:, None] * x[:, :, 0] + 0.1 * g.normal(0, 1, (2, 61))
+        params = dict(hidden=(8,), learning_rate=learning_rate, epochs=40, batch_size=16)
+        calls = []
+
+        def counting_forward_pass(*args):
+            calls.append(args)
+            return _forward_pass(*args)
+
+        monkeypatch.setattr(mlp_module, "_forward_pass", counting_forward_pass)
+        got_w, got_b = MlpModel(**params)._train(x, y, seed=6)
+        want_w, want_b = stacked_reference_train(MlpModel(**params), x, y, seed=6)
+        for a, b in zip(got_w + got_b, want_w + want_b, strict=True):
+            assert a.tobytes() == b.tobytes()
+        epochs_run, rest = divmod(len(calls), 4)  # 61 rows make 4 batches
+        assert rest == 0
+
+        def reference_all_nan(epochs):
+            w, b = stacked_reference_train(MlpModel(**{**params, "epochs": epochs}), x, y, seed=6)
+            return all(np.isnan(a).all() for a in w + b)
+
+        first_all_nan = next((epochs for epochs in range(1, 41) if reference_all_nan(epochs)), None)
+        if stops:
+            assert epochs_run == first_all_nan == 2
+        else:
+            assert epochs_run == 40 and first_all_nan is None
+            assert all(np.isnan(a[0]).all() and np.isfinite(a[1]).all()
+                       for a in want_w + want_b)
+
+    @given(n_problems=st.integers(1, 3), hidden=st.sampled_from([(2,), (3, 2)]),
+           log_rate=st.floats(-3.0, 2.0), log_scales=st.lists(st.floats(0.0, 4.0),
+                                                                min_size=3, max_size=3),
+           epochs=st.integers(1, 12), seed=st.integers(0, 2**16))
+    # the stack goes all NaN in epoch 4: its last, then mid-run; then a
+    # stack whose problem 0 goes all NaN beside a finite problem 1
+    @example(n_problems=2, hidden=(2,), log_rate=-1.0, log_scales=[3.0, 3.5, 0.0], epochs=4,
+             seed=2)
+    @example(n_problems=2, hidden=(2,), log_rate=-1.0, log_scales=[3.0, 3.5, 0.0], epochs=12,
+             seed=2)
+    @example(n_problems=2, hidden=(2,), log_rate=-2.0, log_scales=[4.0, 0.0, 0.0], epochs=12,
+             seed=2)
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_matches_stacked_reference_wherever_divergence_starts(
+            self, n_problems, hidden, log_rate, log_scales, epochs, seed):
+        # Learning rates 1e-3..1e2 and target scales 1..1e4 give stacks that
+        # never diverge, that go all NaN mid-run or in the last epoch, and
+        # stacks where only some problems do.  Problem k's target scale is
+        # 10 ** log_scales[k].
+        g = substream(seed, 0)
+        x = g.normal(0, 1, (n_problems, 20, 2))
+        scales = 10.0 ** np.array(log_scales[:n_problems])
+        y = scales[:, None] * (x[:, :, 0] + 0.1 * g.normal(0, 1, (n_problems, 20)))
+        params = dict(hidden=hidden, learning_rate=10.0**log_rate, epochs=epochs, batch_size=8)
+        got_w, got_b = MlpModel(**params)._train(x, y, seed=seed)
+        want_w, want_b = stacked_reference_train(MlpModel(**params), x, y, seed=seed)
+        for a, b in zip(got_w + got_b, want_w + want_b, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     @pytest.mark.parametrize("hidden", [(4,), (32,), (6, 5), (3, 2)])

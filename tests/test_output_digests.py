@@ -14,6 +14,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from simfarm import simkit
 from simfarm.cli import dispatch
@@ -238,3 +239,43 @@ def test_model_outputs_on_numeric_class_labels_are_byte_identical(tmp_path):
     write_code_label_table(tmp_path / "new.csv", 50, 6)
     got = model_outputs(tmp_path, CODE_TASKS, tmp_path / "fit.csv", tmp_path / "new.csv")
     assert got == CODE_DIGESTS
+
+
+# A 200-row table whose target is on a 1e3 scale, like the fuel column.  Plain
+# SGD on the raw target overflows: the trained MLP and the first two sampled
+# configurations are NaN in every fold, and the third has finite folds beside
+# a NaN one in the same stack.  The digests pin those NaN models and scores.
+def write_diverging_table(path, n, seed):
+    g = np.random.default_rng(seed)
+    x1 = g.normal(0.0, 1.0, n)
+    x2 = g.uniform(-1.0, 1.0, n)
+    y = 1e3 * x1 + 200.0 * x2 + g.normal(0.0, 10.0, n)
+    lines = ["x1,x2,y"]
+    lines += [f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in zip(x1, x2, y)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+DIVERGING_MLP_DIGESTS = {
+    "train.json": "31e01af6eaaca077f502c773b971740ed8b05c33b56976c8234432d2e2fd652d",
+    "search.json": "94cbd3cca43401ef9f3fecee648dec15ec84676172963b1040cff70100db8b35",
+    "search.cv.json": "ff15d5e69e392c8e56f3e0c65b9dbb1e786bb6f24c6f8827102c74a638acec6d",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_mlp_outputs_are_byte_identical(tmp_path):
+    write_diverging_table(tmp_path / "fit.csv", 200, 3)
+    common = ["--data", str(tmp_path / "fit.csv"), "--target", "y", "--task", "regression",
+              "--family", "mlp", "--seed", "5"]
+    assert dispatch(["model", "train", *common, "--out", str(tmp_path / "train.json")]) == 0
+    assert dispatch([
+        "model", "search", *common, "--k", "3", "--budget", "3",
+        "--out", str(tmp_path / "search.json"), "--cv-report", str(tmp_path / "search.cv.json"),
+    ]) == 0
+    cv = json.loads((tmp_path / "search.cv.json").read_text(encoding="utf-8"))
+    means = [entry["mean_score"] for entry in cv["evaluated"]]
+    assert np.isnan(means).any()
+    assert any(np.isfinite(entry["fold_scores"]).any() for entry in cv["evaluated"])
+    got = {name: file_digest(tmp_path / name)
+           for name in ("train.json", "search.json", "search.cv.json")}
+    assert got == DIVERGING_MLP_DIGESTS
