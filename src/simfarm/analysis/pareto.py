@@ -3,12 +3,15 @@
 A point is on the front iff no other point is at least as good in every
 objective and strictly better in one (after normalizing maximize objectives
 by negation).  Duplicate copies of a front point all stay on the front.  Two
-objectives use a sort-and-sweep in O(n log n) (Kung, Luccio & Preparata
-1975); three or more compare every pair, a bounded block of rows at a time.
+and three objectives use Kung, Luccio & Preparata's (1975) sort-and-sweep:
+O(n log n) for two, and for three a sweep over the distinct rows in
+lexicographic order that keeps the (f2, f3) staircase of the front so far.
+Four or more compare every pair, a bounded block of rows at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +59,29 @@ def _front_mask_2d(pts: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _front_mask_3d(pts: np.ndarray) -> np.ndarray:
+    # Distinct rows in lexicographic order: every row that dominates a row comes
+    # before it, so a row is on the front iff no earlier front row has f2 and f3
+    # both no greater.  The staircase holds those rows' (f2, f3) with f2
+    # increasing and f3 decreasing; its last point with f2 <= a row's f2 has
+    # the least f3 of all of them.
+    rows, inverse = np.unique(pts, axis=0, return_inverse=True)
+    keep = np.zeros(len(rows), dtype=bool)
+    f2s: list[float] = []
+    f3s: list[float] = []
+    for i, (_, f2, f3) in enumerate(rows.tolist()):
+        at = bisect_right(f2s, f2)
+        if at and f3s[at - 1] <= f3:
+            continue
+        keep[i] = True
+        start, end = bisect_left(f2s, f2), at  # rows this one dominates on (f2, f3)
+        while end < len(f2s) and f3s[end] >= f3:
+            end += 1
+        f2s[start:end] = [f2]
+        f3s[start:end] = [f3]
+    return keep[inverse.ravel()]
+
+
 def _front_mask_pairwise(pts: np.ndarray) -> np.ndarray:
     n, m = pts.shape
     step = max(1, _BLOCK_CELLS // (n * m))
@@ -88,5 +114,5 @@ def pareto_front(points, directions) -> ParetoResult:
         normalized.append(_DIRECTION_ALIASES[d])
     signs = np.array([1.0 if d == "minimize" else -1.0 for d in normalized])
     pts = pts * signs  # every objective minimized
-    mask = _front_mask_2d(pts) if m == 2 else _front_mask_pairwise(pts)
+    mask = {2: _front_mask_2d, 3: _front_mask_3d}.get(m, _front_mask_pairwise)(pts)
     return ParetoResult(front=np.nonzero(mask)[0], directions=tuple(normalized))

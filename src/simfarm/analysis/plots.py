@@ -15,12 +15,13 @@ import sys
 import numpy as np
 
 from ..errors import InvalidArgumentError
+from ..tables import format_g_cells, join_cell_rows
 from .eda import fd_bin_count
 
 __all__ = ["emit_plot", "render_scatter", "render_histogram", "render_heatmap"]
 
 _WIDTH, _HEIGHT = 640, 480
-_SCATTER_BLOCK = 4096  # points formatted by one template
+_SCATTER_BLOCK = 4096  # points spelled by one row matrix
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 48, 56
 
 # compact viridis-style gradient anchors (position, r, g, b)
@@ -165,13 +166,13 @@ def render_scatter(x, y, title: str, xlabel: str, ylabel: str) -> str:
     xlo, xhi = _pad_range(float(x.min()), float(x.max()))
     ylo, yhi = _pad_range(float(y.min()), float(y.max()))
     cv.axes(xlo, xhi, ylo, yhi)
-    cx, cy = cv.map_x(x, xlo, xhi), cv.map_y(y, ylo, yhi)
-    # "%.6g" % v equals _fmt(v) for every double
-    point = '<circle class="pt" cx="%.6g" cy="%.6g" r="2.5" fill="#1f77b4" fill-opacity="0.7"/>'
-    xy = np.stack([cx.ravel(), cy.ravel()], axis=1)
-    for lo in range(0, len(xy), _SCATTER_BLOCK):
-        block = xy[lo : lo + _SCATTER_BLOCK]
-        cv.parts.append("\n".join([point] * len(block)) % tuple(block.ravel().tolist()))
+    cx, cy = cv.map_x(x, xlo, xhi).ravel(), cv.map_y(y, ylo, yhi).ravel()
+    # format_g_cells(v, 6) spells "%.6g" % v, which equals _fmt(v), for every double
+    for lo in range(0, len(cx), _SCATTER_BLOCK):
+        parts = [b'<circle class="pt" cx="', format_g_cells(cx[lo : lo + _SCATTER_BLOCK], 6),
+                 b'" cy="', format_g_cells(cy[lo : lo + _SCATTER_BLOCK], 6),
+                 b'" r="2.5" fill="#1f77b4" fill-opacity="0.7"/>\n']
+        cv.parts.append(join_cell_rows(parts, len(parts[1]))[:-1])
     return cv.finish()
 
 

@@ -3,6 +3,7 @@ and the one-pass campaign writer against the three separate writers it replaced.
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from simfarm.doe import (
 )
 from simfarm.errors import ContractViolationError
 from simfarm.execution import DesignChunk, SubprocessRunner, run_batches
-from simfarm.tables import CSV_BLOCK_ROWS, ResultTable, format_float
+from simfarm.tables import CSV_BLOCK_ROWS, ResultTable, format_float, quote_cell, write_csv_columns
 
 N = 2 * CSV_BLOCK_ROWS + 123  # two full blocks and a short one
 LEVELS = ("plain", "a,b", 'say "hi"', "two\nlines", "", "trailing ")
@@ -160,6 +161,131 @@ def test_single_factor_empty_cells_are_quoted(tmp_path):
         write_design(design, path)
         header = design.factors[0].name + "\n"
         assert path.read_bytes() == (header + reference_design_rows(design)).encode("utf-8")
+
+
+# -- write_csv_columns on every dtype it spells, against a per-cell writer -----------
+
+INT64 = np.iinfo(np.int64)
+TEXTS = ("plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "naïve ✓", "nul\x00", "\udc80")
+
+
+def reference_columns_csv(names, columns) -> str:
+    """What the per-cell writer wrote: float as format_float (NaN empty), int as
+    str(int), bool as true/false, other values as str (None empty), each quoted
+    by quote_cell, and a row of one empty cell as ``""``."""
+    lines = [",".join(map(quote_cell, names))]
+    for i in range(min(map(len, columns), default=0)):
+        row = []
+        for arr in columns:
+            v = arr[i]
+            if arr.dtype.kind == "f":
+                row.append(format_float(v))
+            elif arr.dtype.kind in "iu":
+                row.append(str(int(v)))
+            elif arr.dtype.kind == "b":
+                row.append("true" if v else "false")
+            else:
+                row.append("" if v is None else str(v))
+        line = ",".join(map(quote_cell, row))
+        lines.append('""' if line == "" and len(columns) == 1 else line)
+    return "\n".join(lines) + "\n"
+
+
+def written(*targets) -> list[str]:
+    handles = [io.StringIO(newline="") for _ in targets]
+    write_csv_columns(*((fh, names, columns) for fh, (names, columns) in zip(handles, targets)))
+    return [fh.getvalue() for fh in handles]
+
+
+def every_dtype(n: int) -> dict[str, np.ndarray]:
+    g = np.random.default_rng(n)
+    y = g.standard_normal(n) * 10.0 ** g.integers(-30, 30, n)
+    if n > CSV_BLOCK_ROWS:
+        y[CSV_BLOCK_ROWS] = np.nan  # a NaN in the second block only
+    k = g.integers(INT64.min, INT64.max, n, endpoint=True)
+    k[:2] = (INT64.min, INT64.max)[: min(n, 2)]
+    u = g.integers(2**63, 2**64, n, dtype=np.uint64, endpoint=False)
+    u[: min(n, 3)] = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)[: min(n, 3)]
+    text = np.array([TEXTS[i % len(TEXTS)] for i in range(n)], dtype=object)
+    text[::7] = None
+    return {
+        "y": y,
+        "k": k,
+        "u": u,
+        "flag": g.random(n) < 0.5,
+        "text": text,
+        "status": np.where(g.random(n) < 0.9, "ok", "failed"),
+        "word": np.array([TEXTS[i % 2 + 6] for i in range(n)]),  # non-ASCII str_ column
+        "code": np.array([("a\x00b", "", "xyz")[i % 3] for i in range(n)]),  # ASCII str_, a NUL inside
+        "f32": (g.standard_normal(n) * 1e3).astype(np.float32),
+        "f128": (g.standard_normal(n) / 3).astype(np.longdouble),
+        "small": np.arange(n, dtype=np.int8) % 100 - 50,
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_every_dtype_matches_per_cell_writer(n):
+    columns = every_dtype(n)
+    names = ["y", "a,b", *list(columns)[2:]]
+    assert written((names, list(columns.values()))) == [
+        reference_columns_csv(names, list(columns.values()))
+    ]
+
+
+@pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("name", ["y", "text", "status", "flag", "k"])
+def test_single_column_files_quote_empty_rows(n, name):
+    column = every_dtype(n)[name]
+    if name == "y":
+        column = column.copy()
+        column[::3] = np.nan
+    assert written(([name], [column])) == [reference_columns_csv([name], [column])]
+
+
+def test_shared_columns_and_files_of_different_lengths():
+    cols = every_dtype(2 * CSV_BLOCK_ROWS + 5)
+    short = {name: arr[: CSV_BLOCK_ROWS + 3] for name, arr in cols.items()}
+    targets = [
+        (list(cols), list(cols.values())),
+        (["y", "text", "k"], [cols["y"], cols["text"], short["k"]]),  # ends at its short column
+        (["k"], [cols["k"]]),
+        ([], []),
+    ]
+    assert written(*targets) == [reference_columns_csv(*t) for t in targets]
+
+
+# The per-cell % row-format writer peaked at 4 211 424 traced bytes on the
+# 64 000-row campaign below (measured with this test's code).  A block-wise
+# byte-matrix writer stays below that; the same writer with 65 536-row blocks,
+# whole files at once, peaked at 26.8 MB.
+PERCENT_WRITER_PEAK = 4_211_424
+PEAK_MARGIN = 1 << 20
+
+
+def test_campaign_write_stays_block_wise(tmp_path):
+    n = 64_000
+    factors = [FactorSpec("speed", Continuous(350.0, 500.0)),
+               FactorSpec("altitude", Continuous(1e4, 4e4))]
+    design = lhs_design(factors, n, 7)
+    g = np.random.default_rng(7)
+    results = ResultTable(
+        index=np.arange(n),
+        status=g.random(n) > 0.01,
+        columns={"time_of_flight": g.uniform(3e3, 7e3, n), "fuel_consumed": g.uniform(800, 1400, n)},
+    )
+    _write_campaign_csvs(design, results, tmp_path)  # first call: lazy imports and tables
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _write_campaign_csvs(design, results, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= PERCENT_WRITER_PEAK + PEAK_MARGIN, peak
 
 
 def test_percent_g_matches_format_on_random_doubles():

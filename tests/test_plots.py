@@ -87,6 +87,29 @@ class TestScatter:
         assert got == render_scatter(x, y, "t", "a", "b")
         assert got.count('<circle class="pt"') == 100
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_points_match_percent_template(self, seed):
+        # The "%.6g" row template the byte-matrix spelling replaced, kept as the reference.
+        def percent_template(x, y):
+            cv = plots._Canvas("t", "a", "b")
+            xlo, xhi = plots._pad_range(float(x.min()), float(x.max()))
+            ylo, yhi = plots._pad_range(float(y.min()), float(y.max()))
+            cv.axes(xlo, xhi, ylo, yhi)
+            point = '<circle class="pt" cx="%.6g" cy="%.6g" r="2.5" fill="#1f77b4" fill-opacity="0.7"/>'
+            xy = np.stack([cv.map_x(x, xlo, xhi), cv.map_y(y, ylo, yhi)], axis=1)
+            for lo in range(0, len(xy), 4096):
+                block = xy[lo : lo + 4096]
+                cv.parts.append("\n".join([point] * len(block)) % tuple(block.ravel().tolist()))
+            return cv.finish()
+
+        g = substream(seed, 40)
+        n = 10_000
+        x = [g.normal(0, 1, n) * 10.0 ** g.integers(-8, 9, n),  # every magnitude
+             np.round(g.uniform(0, 540, n), 1),  # canvas steps of 0.1 px: many ties
+             g.integers(0, 3, n).astype(float)][seed]
+        y = [g.standard_cauchy(n), g.uniform(-1, 1, n), np.full(n, 7.0)][seed]
+        assert render_scatter(x, y, "t", "a", "b") == percent_template(x, y)
+
     def test_accepts_n_by_2_matrix(self, tmp_path):
         path = tmp_path / "scatter.svg"
         emit_plot(np.array([[0.0, 1.0], [1.0, 0.0]]), "scatter", path)
