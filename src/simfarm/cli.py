@@ -3,7 +3,8 @@
 Subcommands: ``doe`` (factors JSON -> design CSV), ``run`` (experiment config
 -> results CSV + report JSON), ``analyze test|fit|pareto|outliers|eda``,
 ``model search|train|predict|smote``, ``geo convert|to-ecef|to-geodetic|
-distance``, and ``casestudy navigation`` (the full built-in pipeline).
+distance``, and ``casestudy navigation`` (the navigation experiment, run by
+the same campaign code as ``run``, then fitted and plotted).
 
 Exit codes: 0 success, 1 usage error, 2 data/contract error.  Diagnostics go
 to stderr; data goes to files or stdout.
@@ -11,6 +12,7 @@ to stderr; data goes to files or stdout.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -37,6 +39,7 @@ from .errors import (
     run_command,
 )
 from .execution import (
+    ExecutionReport,
     SubprocessRunner,
     get_runner,
     mean_convergence_criterion,
@@ -62,7 +65,7 @@ from .models import (
 )
 from .models.preprocess import class_codes, regression_targets
 from .models.spec import FAMILIES as MODEL_FAMILIES
-from .schema import ANY, TEXT, Rule, check, either, fail, integer, obj, real
+from .schema import TEXT, Rule, check, either, fail, integer, obj, real
 from .tables import (
     RESERVED_INDEX,
     RESERVED_STATUS,
@@ -127,7 +130,7 @@ _EXPERIMENT = obj(
     {"factors": TEXT, "n": integer(), "seed": integer(), "chunk_size": integer(ge=1),
      "out_dir": TEXT,
      "runner": either(TEXT, obj({"command": Rule("a non-empty list of strings", _command)}))},
-    {"runner_options": obj(rest=ANY),  # the built-in runner's factory checks their names
+    {"runner_options": obj(optional={"seed": integer(), "noise_sigma": real(ge=0)}),
      "criterion": obj({"metric": TEXT, "epsilon": real(gt=0)}, {"floor": real(gt=0)})},
 )
 
@@ -149,8 +152,6 @@ def _load_experiment(path) -> dict:
     if not factors_path.exists():
         raise ConfigurationError(f"factor document {factors_path} does not exist")
     cfg["factors"] = factors_path
-    if "criterion" in cfg:
-        cfg["criterion"].setdefault("floor", 1e-9)
     return cfg
 
 
@@ -190,27 +191,34 @@ def _write_campaign_csvs(design: Design, results: ResultTable, out_dir: Path) ->
         )
 
 
+def _run_campaign(factors, n: int, seed: int, chunk_size: int, runner, criterion,
+                  out_dir: Path, report_name: str) -> tuple[Design, ResultTable, ExecutionReport]:
+    """Design, run and write one campaign: the loop of ``run`` and ``casestudy``.
+
+    Writes the three campaign CSVs and the execution report ``report_name``
+    to ``out_dir``, made only once the runs are done.
+    """
+    design = lhs_design(factors, n, seed)
+    results, report = run_batches(design, runner, criterion, chunk_size)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_campaign_csvs(design, results, out_dir)
+    _write_json(report.to_dict(), out_dir / report_name)
+    return design, results, report
+
+
 def _cmd_run(args) -> int:
     cfg = _load_experiment(args.config)
     factors = load_factors(cfg["factors"])
-    design = lhs_design(factors, cfg["n"], cfg["seed"])
     runner_cfg = cfg["runner"]
     if isinstance(runner_cfg, str):
         runner = get_runner(runner_cfg, **cfg["runner_options"])
     else:
         runner = SubprocessRunner(runner_cfg["command"])
     crit_cfg = cfg.get("criterion")
-    criterion = None
-    if crit_cfg is not None:
-        criterion = mean_convergence_criterion(
-            crit_cfg["metric"], crit_cfg["epsilon"], crit_cfg["floor"]
-        )
-    results, report = run_batches(design, runner, criterion, cfg["chunk_size"])
-
+    criterion = mean_convergence_criterion(**crit_cfg) if crit_cfg is not None else None
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_campaign_csvs(design, results, out_dir)
-    _write_json(report.to_dict(), out_dir / "report.json")
+    _, _, report = _run_campaign(factors, cfg["n"], cfg["seed"], cfg["chunk_size"], runner,
+                                 criterion, out_dir, "report.json")
     print(
         f"executed {report.rows_executed} rows in {report.chunks_executed} chunks "
         f"({report.stop_reason}); outputs in {out_dir}",
@@ -433,16 +441,14 @@ def _cmd_geo(args) -> int:
 
 
 def _cmd_casestudy(args) -> int:
-    params = simkit.calibrate(noise_sigma=args.noise)
+    """The navigation experiment through :func:`_run_campaign`, then its fit and plots."""
+    if args.n < 2:
+        raise InvalidArgumentError(f"--n must be >= 2 for the time-fuel fit, got {args.n}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    factors = simkit.navigation_factors()
-    design = lhs_design(factors, args.n, args.seed)
-    runner = simkit.navsim_runner(params=params, seed=args.seed)
-    results, report = run_batches(design, runner, None, args.chunk_size)
-
-    _write_campaign_csvs(design, results, out_dir)
-    _write_json(report.to_dict(), out_dir / "execution_report.json")
+    runner = get_runner("navsim", noise_sigma=args.noise, seed=args.seed)
+    design, results, report = _run_campaign(
+        simkit.navigation_factors(), args.n, args.seed, args.chunk_size, runner, None, out_dir,
+        "execution_report.json")
 
     tof = results.column("time_of_flight")
     fuel = results.column("fuel_consumed")
@@ -453,13 +459,7 @@ def _cmd_casestudy(args) -> int:
         "schema_version": 1,
         "n": args.n,
         "seed": args.seed,
-        "model": {
-            "A": params.A,
-            "B": params.B,
-            "route_distance_nm": params.route_distance_nm,
-            "hold_duration_s": params.hold_duration_s,
-            "noise_sigma": params.noise_sigma,
-        },
+        "model": dataclasses.asdict(simkit.calibrate(noise_sigma=args.noise)),
         "rows_executed": report.rows_executed,
         "linear_fit_time_vs_fuel": {
             "slope": slope,

@@ -7,7 +7,8 @@ per input row, aligned by design-row index; failed executions are rows whose
 status is false, never dropped.  Rows inside a chunk may be computed in
 parallel by the runner, but chunk boundaries are strict synchronization
 points.  The chunk results are concatenated once, after the last chunk, so a
-run costs time linear in the rows executed.
+run costs time linear in the rows executed.  :func:`get_runner` builds the
+built-in ``navsim`` runner and :class:`SubprocessRunner` runs an external command.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "run_batches",
     "mean_convergence_criterion",
     "SubprocessRunner",
-    "register_runner",
     "get_runner",
 ]
 
@@ -264,25 +264,20 @@ class SubprocessRunner:
         return ResultTable(index=chunk.indices, status=np.zeros(chunk.n, dtype=bool))
 
 
-# -- built-in runner registry -------------------------------------------------
-
-_RUNNERS: dict[str, Callable[..., Runner]] = {}
-
-
-def register_runner(name: str, factory: Callable[..., Runner]) -> None:
-    _RUNNERS[name] = factory
+# -- built-in runners ------------------------------------------------------------
 
 
 def get_runner(name: str, **options) -> Runner:
-    """The runner ``name``'s factory builds from ``options``; options the
-    factory does not take are a ConfigurationError, never silently dropped."""
-    from . import simkit  # noqa: F401  (registers the built-in ``navsim`` runner)
+    """The built-in runner ``name`` built from ``options``.
 
-    if name not in _RUNNERS:
-        raise ConfigurationError(
-            f"unknown runner {name!r}; available: {sorted(_RUNNERS)}"
-        )
-    factory = _RUNNERS[name]
+    The one built-in, ``navsim``, is :func:`simfarm.simkit.navsim_runner`,
+    looked up when called.  An unknown name, or an option the factory does
+    not take, is a ConfigurationError, never silently dropped."""
+    if name != "navsim":
+        raise ConfigurationError(f"unknown runner {name!r}; available: ['navsim']")
+    from . import simkit
+
+    factory = simkit.navsim_runner
     try:
         inspect.signature(factory).bind(**options)
     except TypeError as exc:

@@ -16,8 +16,10 @@ otherwise fuel is multiplied by a lognormal factor with median 1 drawn from
 the per-row stream ``(seed, design row index)``, so results do not depend on
 chunking or scheduling.
 
-``navsim_worker`` exposes the simulator through the subprocess-runner protocol
-(``simfarm navsim-worker <in.csv> <out.csv>``).
+``navsim_runner(noise_sigma, seed)`` is the one way ``get_runner("navsim")``,
+``simfarm run``, ``casestudy navigation`` and the subprocess worker
+(``simfarm navsim-worker <in.csv> <out.csv>``) build the simulator; a hand-built
+:class:`FuelModelParams` runs through :func:`simulate_navigation`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .doe import Continuous, Design, FactorSpec
 from .errors import CalibrationError, ContractViolationError, DomainError, InvalidArgumentError
-from .execution import DesignChunk, register_runner
+from .execution import DesignChunk
 from .rng import first_standard_normals
 from .tables import ResultTable
 
@@ -158,7 +160,7 @@ def simulate_navigation(chunk: DesignChunk, params: FuelModelParams, seed: int =
     speed = np.asarray(chunk.column("speed"), dtype=np.float64)
     altitude = np.asarray(chunk.column("altitude"), dtype=np.float64)
     tof = time_of_flight_s(speed, params)
-    fuel = total_fuel_lb(speed, altitude, params)
+    fuel = fuel_flow(speed, altitude, params) * (tof / 3600.0)  # total_fuel_lb, tof computed once
     if params.noise_sigma > 0.0:
         fuel = fuel * np.exp(params.noise_sigma * first_standard_normals(seed, chunk.indices))
     return ResultTable(
@@ -168,17 +170,15 @@ def simulate_navigation(chunk: DesignChunk, params: FuelModelParams, seed: int =
     )
 
 
-def navsim_runner(params: FuelModelParams | None = None, seed: int = 0):
-    """Runner factory registered under the name ``navsim``."""
-    model = params if params is not None else calibrate()
+def navsim_runner(noise_sigma: float = 0.0, seed: int = 0):
+    """The built-in ``navsim`` runner: the calibrated model, its fuel times a
+    lognormal factor of ``noise_sigma`` drawn from the per-row streams of ``seed``."""
+    params = calibrate(noise_sigma=noise_sigma)
 
     def run(chunk: DesignChunk) -> ResultTable:
-        return simulate_navigation(chunk, model, seed=seed)
+        return simulate_navigation(chunk, params, seed=seed)
 
     return run
-
-
-register_runner("navsim", navsim_runner)
 
 
 # -- navsim worker (subprocess protocol) -----------------------------------------
@@ -216,6 +216,5 @@ def navsim_worker(args) -> int:
         ),
         indices=table.index,
     )
-    params = calibrate(noise_sigma=args.noise)
-    simulate_navigation(chunk, params, seed=args.seed).to_csv(args.out_csv)
+    navsim_runner(noise_sigma=args.noise, seed=args.seed)(chunk).to_csv(args.out_csv)
     return 0

@@ -187,6 +187,12 @@ class TestRunCommand:
         ("runner.command", "echo"),
         ("runner.command", []),
         ("runner.command", ["echo", 1]),
+        ("runner_options.seed", 1.5),
+        ("runner_options.seed", "x"),
+        ("runner_options.seed", True),
+        ("runner_options.noise_sigma", -0.1),
+        ("runner_options.noise_sigma", math.nan),
+        ("runner_options.noise_sigma", "0.1"),
     ])
     def test_malformed_config_value_is_exit_2_naming_the_key(
         self, tmp_path, factors_json, capsys, key, value
@@ -195,6 +201,8 @@ class TestRunCommand:
         doc = json.loads(cfg.read_text())
         if key.startswith("runner."):
             doc["runner"] = {"command": value}
+        elif key.startswith("runner_options."):
+            doc["runner_options"] = {key.split(".")[1]: value}
         elif key.startswith("criterion."):
             doc["criterion"][key.split(".")[1]] = value
         else:
@@ -221,6 +229,9 @@ class TestRunCommand:
         ({"runner": {"command": ["false"]}, "runner_options": {"seed": 3}},
          "'runner_options' is read only by a built-in runner"),
         ({"chunksize": 100}, "unknown key 'chunksize'"),
+        ({"runner_options": {"params": {"noise_sigma": 0.1}}},
+         "unknown key 'runner_options.params'"),
+        ({"runner_options": {"timeout": 5}}, "unknown key 'runner_options.timeout'"),
     ])
     def test_config_that_ran_silently_is_exit_2(self, tmp_path, factors_json, capsys, change,
                                                message):
@@ -235,18 +246,42 @@ class TestRunCommand:
     def test_runner_options_reach_the_factory(self, tmp_path, factors_json, capsys):
         cfg = self.make_config(tmp_path, factors_json, criterion=False)
         doc = json.loads(cfg.read_text())
-        doc["runner_options"] = {"seed": 3}
-        cfg.write_text(json.dumps(doc))
-        assert run_cli("run", "--config", str(cfg)) == 0
+        fuel = {}
+        for options in ({}, {"seed": 3}, {"seed": 3, "noise_sigma": 0.5}):
+            doc["runner_options"] = options
+            cfg.write_text(json.dumps(doc))
+            assert run_cli("run", "--config", str(cfg)) == 0
+            fuel[len(options)] = ResultTable.from_csv(tmp_path / "out" / "results.csv").column(
+                "fuel_consumed")
+        # the seed keys only the noise: noiseless runs agree, a noisy one differs
+        assert np.array_equal(fuel[0], fuel[1]) and not np.array_equal(fuel[1], fuel[2])
         doc["runner_options"] = {"noise_sigma": 0.5, "sede": 3}
         doc["out_dir"] = str(tmp_path / "rejected")
         cfg.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_cli("run", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
-        assert "runner 'navsim' options" in err and "'noise_sigma'" in err
+        assert "unknown key 'runner_options.sede'" in err
         assert not (tmp_path / "rejected").exists()
 
+    def test_noisy_navsim_run_equals_the_casestudy_campaign(self, tmp_path):
+        """``run`` with the navigation experiment writes casestudy's three CSVs."""
+        from simfarm import simkit
+        from simfarm.doe import dump_factors
+        from test_output_digests import CASESTUDY_DIGESTS, file_digest
+
+        (tmp_path / "factors.json").write_text(
+            json.dumps(dump_factors(simkit.navigation_factors())))
+        config = {
+            "factors": "factors.json", "n": 4500, "seed": 7, "chunk_size": 100,
+            "runner": "navsim", "runner_options": {"seed": 7, "noise_sigma": 0.05},
+            "out_dir": str(tmp_path / "run"),
+        }
+        (tmp_path / "experiment.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(tmp_path / "experiment.json")) == 0
+        names = ("design.csv", "results.csv", "joined.csv")
+        assert {name: file_digest(tmp_path / "run" / name) for name in names} == {
+            name: CASESTUDY_DIGESTS[name] for name in names}
 
 class TestAnalyzeCommands:
     def test_test_subcommand(self, tmp_path, results_csv):
@@ -632,6 +667,15 @@ class TestCaseStudyCommand:
             assert (out / name).exists()
         doc = json.loads((out / "casestudy_report.json").read_text())
         assert doc["rows_executed"] == 400
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_fewer_than_two_rows_exits_2_before_writing(self, tmp_path, capsys, n):
+        """The time-fuel fit needs two rows: one would write NaN into the report."""
+        out = tmp_path / "cs"
+        assert run_cli("casestudy", "navigation", "--out", str(out), "--n", n) == 2
+        err = capsys.readouterr().err
+        assert err == f"simfarm: error: --n must be >= 2 for the time-fuel fit, got {n}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
     def test_bad_noise_sigma_exits_2_before_writing(self, tmp_path, capsys, noise):

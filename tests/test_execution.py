@@ -17,6 +17,7 @@ from simfarm.errors import (
 from simfarm.execution import (
     DesignChunk,
     SubprocessRunner,
+    get_runner,
     mean_convergence_criterion,
     run_batches,
 )
@@ -423,3 +424,18 @@ class TestSubprocessRunner:
         runner = SubprocessRunner([sys.executable, str(script)])
         with pytest.raises(ContractViolationError):
             run_batches(design, runner, None, 1)
+
+
+class TestGetRunner:
+    def test_navsim_is_the_simkit_factory_at_call_time(self, monkeypatch):
+        from simfarm import simkit
+
+        def fake(noise_sigma=0.0, seed=0):
+            return ("fake", noise_sigma, seed)
+
+        monkeypatch.setattr(simkit, "navsim_runner", fake)
+        assert get_runner("navsim", seed=4, noise_sigma=0.5) == ("fake", 0.5, 4)
+
+    def test_the_model_params_are_no_option(self):
+        with pytest.raises(ConfigurationError, match="runner 'navsim' options: .*'params'"):
+            get_runner("navsim", params=None)

@@ -95,7 +95,7 @@ class TestRunnerContract:
 
     def test_deterministic_and_chunking_invariant(self, params):
         design = lhs_design(simkit.navigation_factors(), 200, seed=5)
-        runner = simkit.navsim_runner(params=params, seed=9)
+        runner = simkit.navsim_runner(seed=9)
         small, _ = run_batches(design, runner, None, 17)
         large, _ = run_batches(design, runner, None, 200)
         assert np.array_equal(small.column("fuel_consumed"), large.column("fuel_consumed"))
@@ -168,7 +168,7 @@ class TestFuelSurface:
 
     def test_weak_time_fuel_relationship(self, params):
         design = lhs_design(simkit.navigation_factors(), 4000, seed=7)
-        runner = simkit.navsim_runner(params=params)
+        runner = simkit.navsim_runner()
         results, _ = run_batches(design, runner, None, 500)
         tof = results.column("time_of_flight")
         fuel = results.column("fuel_consumed")
