@@ -196,11 +196,12 @@ def _run_campaign(factors, n: int, seed: int, chunk_size: int, runner, criterion
     """Design, run and write one campaign: the loop of ``run`` and ``casestudy``.
 
     Writes the three campaign CSVs and the execution report ``report_name``
-    to ``out_dir``, made only once the runs are done.
+    to ``out_dir``, made first so that a directory that cannot be made costs
+    no runs.
     """
+    out_dir.mkdir(parents=True, exist_ok=True)
     design = lhs_design(factors, n, seed)
     results, report = run_batches(design, runner, criterion, chunk_size)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_campaign_csvs(design, results, out_dir)
     _write_json(report.to_dict(), out_dir / report_name)
     return design, results, report

@@ -264,6 +264,22 @@ class TestRunCommand:
         assert "unknown key 'runner_options.sede'" in err
         assert not (tmp_path / "rejected").exists()
 
+    def test_out_dir_that_cannot_be_made_fails_before_any_run(
+        self, tmp_path, factors_json, capsys, monkeypatch
+    ):
+        import simfarm.cli
+
+        def no_run(*args):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(simfarm.cli, "run_batches", no_run)
+        (tmp_path / "blocker").write_text("a file")
+        cfg = self.make_config(tmp_path, factors_json)
+        doc = {**json.loads(cfg.read_text()), "out_dir": str(tmp_path / "blocker" / "out")}
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(cfg)) == 2
+        assert "Not a directory" in capsys.readouterr().err
+
     def test_noisy_navsim_run_equals_the_casestudy_campaign(self, tmp_path):
         """``run`` with the navigation experiment writes casestudy's three CSVs."""
         from simfarm import simkit
