@@ -267,12 +267,10 @@ class TestRunCommand:
     def test_out_dir_that_cannot_be_made_fails_before_any_run(
         self, tmp_path, factors_json, capsys, monkeypatch
     ):
-        import simfarm.cli
-
         def no_run(*args):
             raise AssertionError("the campaign ran")
 
-        monkeypatch.setattr(simfarm.cli, "run_batches", no_run)
+        monkeypatch.setattr("simfarm.cli.run_batches", no_run)
         (tmp_path / "blocker").write_text("a file")
         cfg = self.make_config(tmp_path, factors_json)
         doc = {**json.loads(cfg.read_text()), "out_dir": str(tmp_path / "blocker" / "out")}
@@ -298,6 +296,7 @@ class TestRunCommand:
         names = ("design.csv", "results.csv", "joined.csv")
         assert {name: file_digest(tmp_path / "run" / name) for name in names} == {
             name: CASESTUDY_DIGESTS[name] for name in names}
+
 
 class TestAnalyzeCommands:
     def test_test_subcommand(self, tmp_path, results_csv):
