@@ -31,7 +31,7 @@ import numpy as np
 from .doe import Continuous, Design, FactorSpec
 from .errors import CalibrationError, ContractViolationError, DomainError, InvalidArgumentError
 from .execution import DesignChunk
-from .rng import first_standard_normals
+from .rng import first_standard_normals, read_ahead_normals
 from .tables import ResultTable
 
 __all__ = [
@@ -82,9 +82,9 @@ def density_ratio(altitude_ft):
 def _check_domain(speed_kt, altitude_ft) -> None:
     v = np.asarray(speed_kt, dtype=np.float64)
     h = np.asarray(altitude_ft, dtype=np.float64)
-    if np.any(v < SPEED_RANGE_KT[0]) or np.any(v > SPEED_RANGE_KT[1]):
+    if ((v < SPEED_RANGE_KT[0]) | (v > SPEED_RANGE_KT[1])).any():
         raise DomainError(f"speed outside {SPEED_RANGE_KT} kt")
-    if np.any(h < ALTITUDE_RANGE_FT[0]) or np.any(h > ALTITUDE_RANGE_FT[1]):
+    if ((h < ALTITUDE_RANGE_FT[0]) | (h > ALTITUDE_RANGE_FT[1])).any():
         raise DomainError(f"altitude outside {ALTITUDE_RANGE_FT} ft")
 
 
@@ -150,8 +150,15 @@ def navigation_factors() -> list[FactorSpec]:
     ]
 
 
-def simulate_navigation(chunk: DesignChunk, params: FuelModelParams, seed: int = 0) -> ResultTable:
-    """Run one design chunk; satisfies the runner contract (row-aligned, ok)."""
+def simulate_navigation(
+    chunk: DesignChunk, params: FuelModelParams, seed: int = 0, normals=None
+) -> ResultTable:
+    """Run one design chunk; satisfies the runner contract (row-aligned, ok).
+
+    ``normals(indices)`` gives the noise's standard normals, by default
+    ``first_standard_normals(seed, indices)``; :func:`navsim_runner` passes
+    its :func:`~simfarm.rng.read_ahead_normals` of ``seed``, with the same bytes.
+    """
     names = [f.name for f in chunk.design.factors]
     if sorted(names) != ["altitude", "speed"]:
         raise ContractViolationError(
@@ -162,7 +169,8 @@ def simulate_navigation(chunk: DesignChunk, params: FuelModelParams, seed: int =
     tof = time_of_flight_s(speed, params)
     fuel = fuel_flow(speed, altitude, params) * (tof / 3600.0)  # total_fuel_lb, tof computed once
     if params.noise_sigma > 0.0:
-        fuel = fuel * np.exp(params.noise_sigma * first_standard_normals(seed, chunk.indices))
+        z = normals(chunk.indices) if normals else first_standard_normals(seed, chunk.indices)
+        fuel = fuel * np.exp(params.noise_sigma * z)
     return ResultTable(
         index=chunk.indices,
         status=np.ones(chunk.n, dtype=bool),
@@ -172,11 +180,13 @@ def simulate_navigation(chunk: DesignChunk, params: FuelModelParams, seed: int =
 
 def navsim_runner(noise_sigma: float = 0.0, seed: int = 0):
     """The built-in ``navsim`` runner: the calibrated model, its fuel times a
-    lognormal factor of ``noise_sigma`` drawn from the per-row streams of ``seed``."""
+    lognormal factor of ``noise_sigma`` drawn from the per-row streams of ``seed``,
+    read ahead in blocks of consecutive rows."""
     params = calibrate(noise_sigma=noise_sigma)
+    normals = read_ahead_normals(seed)
 
     def run(chunk: DesignChunk) -> ResultTable:
-        return simulate_navigation(chunk, params, seed=seed)
+        return simulate_navigation(chunk, params, seed=seed, normals=normals)
 
     return run
 

@@ -18,6 +18,13 @@ def navigation_chunk(n=50, seed=0, offset=0):
     return DesignChunk(design=design, indices=np.arange(offset, offset + n))
 
 
+def per_row_reference_fuel(chunk, noise_sigma, seed):
+    """Noisy fuel with one fresh stream per row: noiseless fuel times exp(sigma * z)."""
+    base = simkit.simulate_navigation(chunk, simkit.calibrate()).column("fuel_consumed")
+    z = np.array([substream(seed, int(i)).standard_normal() for i in chunk.indices])
+    return base * np.exp(noise_sigma * z)
+
+
 class TestDensityRatio:
     def test_sea_level_is_one(self):
         assert float(simkit.density_ratio(0.0)) == 1.0
@@ -47,10 +54,12 @@ class TestFuelFlow:
         assert np.all(simkit.fuel_flow(v, h, params) > 0)
 
     def test_domain_guard(self, params):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^speed outside \(350.0, 550.0\) kt$"):
             simkit.fuel_flow(300.0, 20000.0, params)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^altitude outside \(10000.0, 35000.0\) ft$"):
             simkit.fuel_flow(400.0, 50000.0, params)
+        with pytest.raises(DomainError, match="^speed"):  # speed is checked first
+            simkit.fuel_flow([400.0, 551.0], [9000.0, 20000.0], params)
 
 
 class TestCalibration:
@@ -99,6 +108,43 @@ class TestRunnerContract:
         small, _ = run_batches(design, runner, None, 17)
         large, _ = run_batches(design, runner, None, 200)
         assert np.array_equal(small.column("fuel_consumed"), large.column("fuel_consumed"))
+
+    def test_noisy_results_csv_is_the_same_at_every_chunk_size(self, tmp_path):
+        design = lhs_design(simkit.navigation_factors(), 9000, seed=11)
+        chunk = DesignChunk(design=design, indices=np.arange(9000))
+        want = per_row_reference_fuel(chunk, 0.05, seed=11)
+        written = set()
+        for chunk_size in (1, 100, 4095, 4096, 4097, 9000):
+            runner = simkit.navsim_runner(noise_sigma=0.05, seed=11)
+            table, _ = run_batches(design, runner, None, chunk_size)
+            assert np.array_equal(table.column("fuel_consumed"), want), chunk_size
+            table.to_csv(tmp_path / "results.csv")
+            written.add((tmp_path / "results.csv").read_bytes())
+        assert len(written) == 1
+
+    def test_one_runner_fed_any_index_sets_matches_the_per_row_streams(self):
+        # A result table refuses repeated indices; the read-ahead's own test has them.
+        design = lhs_design(simkit.navigation_factors(), 6000, seed=4)
+        runner = simkit.navsim_runner(noise_sigma=0.1, seed=4)
+        for positions in (
+            np.arange(0, 100),
+            np.arange(199, 99, -1),  # reversed
+            np.array([0, 4096, 2, 5999]),  # not consecutive
+            np.arange(4000, 4200),  # past the block drawn ahead
+            np.arange(100, 300),  # before the block now kept
+        ):
+            chunk = DesignChunk(design=design.take(positions), indices=positions)
+            got = runner(chunk).column("fuel_consumed")
+            assert np.array_equal(got, per_row_reference_fuel(chunk, 0.1, seed=4)), positions
+
+    def test_benchmark_surrogate_table_equals_the_per_row_reference(self):
+        """The 1 000-row, seed-7 table with noise 0.05 that the surrogate benchmark trains on."""
+        design = lhs_design(simkit.navigation_factors(), 1000, 7)
+        chunk = DesignChunk(design=design, indices=np.arange(1000, dtype=np.int64))
+        table = simkit.simulate_navigation(chunk, simkit.calibrate(noise_sigma=0.05), seed=7)
+        assert np.array_equal(
+            table.column("fuel_consumed"), per_row_reference_fuel(chunk, 0.05, seed=7)
+        )
 
     def test_noise_streams_keyed_by_row_index(self):
         noisy = simkit.calibrate(noise_sigma=0.1)
