@@ -64,129 +64,120 @@ _W1 = np.uint64(0xBB67AE8584CAA73B)  # bumps the per-row key words
 _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 
-# NumPy's ziggurat tables for the standard normal (ki_double and wi_double).
-_KI = (
-    0xEF33D8025EF6A, 0x0000000000000, 0xC08BE98FBC6A8, 0xDA354FABD8142, 0xE51F67EC1EEEA,
-    0xEB255E9D3F77E, 0xEEF4B817ECAB9, 0xF19470AFA44AA, 0xF37ED61FFCB18, 0xF4F469561255C,
-    0xF61A5E41BA396, 0xF707A755396A4, 0xF7CB2EC28449A, 0xF86F10C6357D3, 0xF8FA6578325DE,
-    0xF9724C74DD0DA, 0xF9DA907DBF509, 0xFA360F581FA74, 0xFA86FDE5B4BF8, 0xFACF160D354DC,
-    0xFB0FB6718B90F, 0xFB49F8D5374C6, 0xFB7EC2366FE77, 0xFBAECE9A1E50E, 0xFBDAB9D040BED,
-    0xFC03060FF6C57, 0xFC2821037A248, 0xFC4A67AE25BD1, 0xFC6A2977AEE31, 0xFC87AA92896A4,
-    0xFCA325E4BDE85, 0xFCBCCE902231A, 0xFCD4D12F839C4, 0xFCEB54D8FEC99, 0xFD007BF1DC930,
-    0xFD1464DD6C4E6, 0xFD272A8E2F450, 0xFD38E4FF0C91E, 0xFD49A9990B478, 0xFD598B8920F53,
-    0xFD689C08E99EC, 0xFD76EA9C8E832, 0xFD848547B08E8, 0xFD9178BAD2C8C, 0xFD9DD07A7ADD2,
-    0xFDA9970105E8C, 0xFDB4D5DC02E20, 0xFDBF95C5BFCD0, 0xFDC9DEBB99A7D, 0xFDD3B8118729D,
-    0xFDDD288342F90, 0xFDE6364369F64, 0xFDEEE708D514E, 0xFDF7401A6B42E, 0xFDFF46599ED40,
-    0xFE06FE4BC24F2, 0xFE0E6C225A258, 0xFE1593C28B84C, 0xFE1C78CBC3F99, 0xFE231E9DB1CAA,
-    0xFE29885DA1B91, 0xFE2FB8FB54186, 0xFE35B33558D4A, 0xFE3B799D0002A, 0xFE410E99EAD7F,
-    0xFE46746D47734, 0xFE4BAD34C095C, 0xFE50BAED29524, 0xFE559F74EBC78, 0xFE5A5C8E41212,
-    0xFE5EF3E138689, 0xFE6366FD91078, 0xFE67B75C6D578, 0xFE6BE661E11AA, 0xFE6FF55E5F4F2,
-    0xFE73E5900A702, 0xFE77B823E9E39, 0xFE7B6E37070A2, 0xFE7F08D774243, 0xFE8289053F08C,
-    0xFE85EFB35173A, 0xFE893DC840864, 0xFE8C741F0CEBC, 0xFE8F9387D4EF6, 0xFE929CC879B1D,
-    0xFE95909D388EA, 0xFE986FB939AA2, 0xFE9B3AC714866, 0xFE9DF2694B6D5, 0xFEA0973ABE67C,
-    0xFEA329CF166A4, 0xFEA5AAB32952C, 0xFEA81A6D5741A, 0xFEAA797DE1CF0, 0xFEACC85F3D920,
-    0xFEAF07865E63C, 0xFEB13762FEC13, 0xFEB3585FE2A4A, 0xFEB56AE3162B4, 0xFEB76F4E284FA,
-    0xFEB965FE62014, 0xFEBB4F4CF9D7C, 0xFEBD2B8F449D0, 0xFEBEFB16E2E3E, 0xFEC0BE31EBDE8,
-    0xFEC2752B15A15, 0xFEC42049DAFD3, 0xFEC5BFD29F196, 0xFEC75406CEEF4, 0xFEC8DD2500CB4,
-    0xFECA5B6911F12, 0xFECBCF0C427FE, 0xFECD38454FB15, 0xFECE97488C8B3, 0xFECFEC47F91B7,
-    0xFED1377358528, 0xFED278F844903, 0xFED3B10242F4C, 0xFED4DFBAD586E, 0xFED605498C3DD,
-    0xFED721D414FE8, 0xFED8357E4A982, 0xFED9406A42CC8, 0xFEDA42B85B704, 0xFEDB3C8746AB4,
-    0xFEDC2DF416652, 0xFEDD171A46E52, 0xFEDDF813C8AD3, 0xFEDED0F909980, 0xFEDFA1E0FD414,
-    0xFEE06AE124BC4, 0xFEE12C0D95A06, 0xFEE1E579006E0, 0xFEE29734B6524, 0xFEE34150AE4BC,
-    0xFEE3E3DB89B3C, 0xFEE47EE2982F4, 0xFEE51271DB086, 0xFEE59E9407F41, 0xFEE623528B42E,
-    0xFEE6A0B5897F1, 0xFEE716C3E077A, 0xFEE7858327B82, 0xFEE7ECF7B06BA, 0xFEE84D2484AB2,
-    0xFEE8A60B66343, 0xFEE8F7ACCC851, 0xFEE94207E25DA, 0xFEE9851A829EA, 0xFEE9C0E13485C,
-    0xFEE9F557273F4, 0xFEEA22762CCAE, 0xFEEA4836B42AC, 0xFEEA668FC2D71, 0xFEEA7D76ED6FA,
-    0xFEEA8CE04FA0A, 0xFEEA94BE8333B, 0xFEEA950296410, 0xFEEA8D9C0075E, 0xFEEA7E7897654,
-    0xFEEA678481D24, 0xFEEA48AA29E83, 0xFEEA21D22E4DA, 0xFEE9F2E352024, 0xFEE9BBC26AF2E,
-    0xFEE97C524F2E4, 0xFEE93473C0A3A, 0xFEE8E40557516, 0xFEE88AE369C7A, 0xFEE828E7F3DFD,
-    0xFEE7BDEA7B888, 0xFEE749BFF37FF, 0xFEE6CC3A9BD5E, 0xFEE64529E007E, 0xFEE5B45A32888,
-    0xFEE51994E57B6, 0xFEE474A0006CF, 0xFEE3C53E12C50, 0xFEE30B2E02AD8, 0xFEE2462AD8205,
-    0xFEE175EB83C5A, 0xFEE09A22A1447, 0xFEDFB27E349CC, 0xFEDEBEA76216C, 0xFEDDBE422047E,
-    0xFEDCB0ECE39D3, 0xFEDB964042CF4, 0xFEDA6DCE938C9, 0xFED937237E98D, 0xFED7F1C38A836,
-    0xFED69D2B9C02B, 0xFED538D06AE00, 0xFED3C41DEA422, 0xFED23E76A2FD8, 0xFED0A732FE644,
-    0xFECEFDA07FE34, 0xFECD4100EB7B8, 0xFECB708956EB4, 0xFEC98B61230C1, 0xFEC790A0DA978,
-    0xFEC57F50F31FE, 0xFEC356686C962, 0xFEC114CB4B335, 0xFEBEB948E6FD0, 0xFEBC429A0B692,
-    0xFEB9AF5EE0CDC, 0xFEB6FE1C98542, 0xFEB42D3AD1F9E, 0xFEB13B00B2D4B, 0xFEAE2591A02E9,
-    0xFEAAEAE992257, 0xFEA788D8EE326, 0xFEA3FCFFD73E5, 0xFEA044C8DD9F6, 0xFE9C5D62F563B,
-    0xFE9843BA947A4, 0xFE93F471D4728, 0xFE8F6BD76C5D6, 0xFE8AA5DC4E8E6, 0xFE859E07AB1EA,
-    0xFE804F690A940, 0xFE7AB488233C0, 0xFE74C751F6AA5, 0xFE6E8102AA202, 0xFE67DA0B6ABD8,
-    0xFE60C9F38307E, 0xFE5947338F742, 0xFE51470977280, 0xFE48BD436F458, 0xFE3F9BFFD1E37,
-    0xFE35D35EEB19C, 0xFE2B5122FE4FE, 0xFE20003995557, 0xFE13C82788314, 0xFE068C4EE67B0,
-    0xFDF82B02B71AA, 0xFDE87C57EFEAA, 0xFDD7509C63BFD, 0xFDC46E529BF13, 0xFDAF8F82E0282,
-    0xFD985E1B2BA75, 0xFD7E6EF48CF04, 0xFD613ADBD650B, 0xFD40149E2F012, 0xFD1A1A7B4C7AC,
-    0xFCEE204761F9E, 0xFCBA8D85E11B2, 0xFC7D26ECD2D22, 0xFC32B2F1E22ED, 0xFBD6581C0B83A,
-    0xFB606C4005434, 0xFAC40582A2874, 0xF9E971E014598, 0xF89FA48A41DFC, 0xF66C5F7F0302C,
-    0xF1A5A4B331C4A,
-)
-_WI = (
-    8.683627060801306e-16, 4.779330175727737e-17, 6.354352417405262e-17, 7.454870481247696e-17,
-    8.3293668157931e-17, 9.068060405059482e-17, 9.714860076567762e-17, 1.0294750314241019e-16,
-    1.0823430288447684e-16, 1.131147019610903e-16, 1.176635945702292e-16, 1.2193617278714363e-16,
-    1.2597439914637093e-16, 1.2981099886264032e-16, 1.3347203736824123e-16, 1.3697864842571203e-16,
-    1.4034823001242382e-16, 1.4359529452056943e-16, 1.4673208742364422e-16, 1.4976904668391037e-16,
-    1.5271515003596198e-16, 1.5557818169460764e-16, 1.5836494009290885e-16, 1.6108140175274928e-16,
-    1.6373285203969853e-16, 1.6632399058420835e-16, 1.6885901708676596e-16, 1.713417017655966e-16,
-    1.737754436586486e-16, 1.7616331923000996e-16, 1.7850812316976727e-16, 1.8081240285799152e-16,
-    1.830784876482675e-16, 1.853085138861802e-16, 1.8750444639373882e-16, 1.896680970077476e-16,
-    1.918011406483862e-16, 1.9390512930625104e-16, 1.9598150426628824e-16, 1.9803160683128174e-16,
-    2.000566877627333e-16, 2.0205791562071654e-16, 2.0403638415480212e-16, 2.0599311887403706e-16,
-    2.079290829041402e-16, 2.0984518222370352e-16, 2.1174227035760342e-16, 2.1362115259449868e-16,
-    2.1548258978581458e-16, 2.1732730177564367e-16, 2.191559705042727e-16, 2.2096924282235318e-16,
-    2.2276773304789553e-16, 2.2455202529414355e-16, 2.263226755928568e-16, 2.280802138345017e-16,
-    2.2982514554424684e-16, 2.3155795351040804e-16, 2.3327909928004356e-16, 2.3498902453470955e-16,
-    2.3668815235791604e-16, 2.3837688840454243e-16, 2.4005562198135063e-16, 2.4172472704675025e-16,
-    2.433845631371103e-16, 2.4503547622614954e-16, 2.466777995232705e-16, 2.4831185421610877e-16,
-    2.4993795016204524e-16, 2.515563865329658e-16, 2.5316745241713583e-16, 2.547714273816944e-16,
-    2.563685819989397e-16, 2.579591783392867e-16, 2.5954347043351707e-16, 2.6112170470670194e-16,
-    2.6269412038597256e-16, 2.6426094988411895e-16, 2.658224191608307e-16, 2.6737874806323633e-16,
-    2.689301506472616e-16, 2.704768354811995e-16, 2.720190059327732e-16, 2.735568604408679e-16,
-    2.7509059277301666e-16, 2.7662039226963903e-16, 2.781464440759544e-16, 2.79668929362423e-16,
-    2.8118802553450207e-16, 2.827039064324479e-16, 2.842167425218406e-16, 2.8572670107546015e-16,
-    2.87233946347098e-16, 2.887386397378482e-16, 2.9024093995538423e-16, 2.9174100316669455e-16,
-    2.9323898314471816e-16, 2.947350314092935e-16, 2.9622929736280665e-16, 2.977219284209029e-16,
-    2.992130701386013e-16, 3.007028663321331e-16, 3.0219145919680615e-16, 3.036789894211802e-16,
-    3.051655962978219e-16, 3.0665141783089545e-16, 3.081365908408297e-16, 3.0962125106629225e-16,
-    3.111055332636893e-16, 3.125895713043999e-16, 3.140734982699446e-16, 3.1555744654528006e-16,
-    3.1704154791040285e-16, 3.1852593363044065e-16, 3.2001073454440114e-16, 3.214960811527447e-16,
-    3.2298210370394156e-16, 3.244689322801698e-16, 3.2595669688230784e-16, 3.2744552751437067e-16,
-    3.2893555426753697e-16, 3.3042690740391284e-16, 3.3191971744017523e-16, 3.3341411523123725e-16,
-    3.3491023205407785e-16, 3.364081996918765e-16, 3.37908150518595e-16, 3.394102175841489e-16,
-    3.409145347003126e-16, 3.424212365275018e-16, 3.4393045866258313e-16, 3.454423377278584e-16,
-    3.4695701146137835e-16, 3.4847461880874137e-16, 3.499953000165381e-16, 3.5151919672760744e-16,
-    3.53046452078274e-16, 3.5457721079774357e-16, 3.5611161930983884e-16, 3.5764982583726505e-16,
-    3.59191980508603e-16, 3.6073823546823514e-16, 3.6228874498941915e-16, 3.6384366559073444e-16,
-    3.65403156156137e-16, 3.669673780588701e-16, 3.685364952894914e-16, 3.7011067458828983e-16,
-    3.716900855823823e-16, 3.7327490092779435e-16, 3.7486529645684887e-16, 3.7646145133120287e-16,
-    3.7806354820089604e-16, 3.7967177336979443e-16, 3.8128631696783774e-16, 3.829073731305243e-16,
-    3.8453514018609596e-16, 3.8616982085091493e-16, 3.878116224335587e-16, 3.894607570481926e-16,
-    3.9111744183782054e-16, 3.9278189920805415e-16, 3.944543570720877e-16, 3.9613504910761354e-16,
-    3.9782421502646826e-16, 3.995221008578565e-16, 4.012289592460629e-16, 4.029450497636328e-16,
-    4.04670639241075e-16, 4.0640600211422504e-16, 4.0815142079049387e-16, 4.0990718603532664e-16,
-    4.1167359738030257e-16, 4.134509635544236e-16, 4.1523960294026883e-16, 4.170398440568316e-16,
-    4.1885202607101123e-16, 4.206764993399015e-16, 4.2251362598620494e-16, 4.243637805093078e-16,
-    4.262273504347798e-16, 4.2810473700531167e-16, 4.2999635591638323e-16, 4.3190263810026294e-16,
-    4.338240305622791e-16, 4.357609972736849e-16, 4.3771402012585875e-16, 4.3968359995105214e-16,
-    4.4167025761542035e-16, 4.4367453519065673e-16, 4.456969972112043e-16, 4.477382320247534e-16,
-    4.49798853244555e-16, 4.518795013130059e-16, 4.539808451870034e-16, 4.561035841567422e-16,
-    4.582484498109567e-16, 4.604162081631153e-16, 4.626076619547846e-16, 4.648236531543207e-16,
-    4.670650656712631e-16, 4.693328283093329e-16, 4.716279179838351e-16, 4.739513632325867e-16,
-    4.763042480533137e-16, 4.786877161048723e-16, 4.811029753147417e-16, 4.835513029411525e-16,
-    4.860340511450812e-16, 4.885526531353603e-16, 4.91108629959527e-16, 4.937035980240335e-16,
-    4.963392774403987e-16, 4.990175013091822e-16, 5.017402260718089e-16, 5.045095430818727e-16,
-    5.073276915733542e-16, 5.101970732341562e-16, 5.131202686306784e-16, 5.161000557743228e-16,
-    5.191394311757699e-16, 5.222416338000234e-16, 5.254101724177597e-16, 5.286488569504945e-16,
-    5.3196183453384e-16, 5.353536311816497e-16, 5.388292001334053e-16, 5.423939782201712e-16,
-    5.46053951907478e-16, 5.498157350892814e-16, 5.536866612467876e-16, 5.576748932926576e-16,
-    5.617895553555417e-16, 5.660408920082422e-16, 5.704404621291389e-16, 5.750013768919895e-16,
-    5.797385945724594e-16, 5.846692893455479e-16, 5.898133176477899e-16, 5.951938149641444e-16,
-    6.008379696271908e-16, 6.067780409333449e-16, 6.130527208725282e-16, 6.197089894581626e-16,
-    6.268046963301284e-16, 6.344122407127506e-16, 6.426239659548055e-16, 6.515603317344994e-16,
-    6.613827885097664e-16, 6.723150462505587e-16, 6.846803417564259e-16, 6.98971833638762e-16,
-    7.159994934830664e-16, 7.372424301798799e-16, 7.658936370805573e-16, 8.113849337656484e-16,
-)
-_KI = np.array(_KI, dtype=np.uint64)
-_WI = np.array(_WI, dtype=np.float64)
+# NumPy's ziggurat tables for the standard normal (ki_double and wi_double).  They
+# are parsed from text at import: 512 numeric literals take about 3 ms to compile,
+# which every process pays when bytecode is not cached.
+_KI = np.array([int(w, 16) for w in """
+    EF33D8025EF6A 0000000000000 C08BE98FBC6A8 DA354FABD8142 E51F67EC1EEEA EB255E9D3F77E
+    EEF4B817ECAB9 F19470AFA44AA F37ED61FFCB18 F4F469561255C F61A5E41BA396 F707A755396A4
+    F7CB2EC28449A F86F10C6357D3 F8FA6578325DE F9724C74DD0DA F9DA907DBF509 FA360F581FA74
+    FA86FDE5B4BF8 FACF160D354DC FB0FB6718B90F FB49F8D5374C6 FB7EC2366FE77 FBAECE9A1E50E
+    FBDAB9D040BED FC03060FF6C57 FC2821037A248 FC4A67AE25BD1 FC6A2977AEE31 FC87AA92896A4
+    FCA325E4BDE85 FCBCCE902231A FCD4D12F839C4 FCEB54D8FEC99 FD007BF1DC930 FD1464DD6C4E6
+    FD272A8E2F450 FD38E4FF0C91E FD49A9990B478 FD598B8920F53 FD689C08E99EC FD76EA9C8E832
+    FD848547B08E8 FD9178BAD2C8C FD9DD07A7ADD2 FDA9970105E8C FDB4D5DC02E20 FDBF95C5BFCD0
+    FDC9DEBB99A7D FDD3B8118729D FDDD288342F90 FDE6364369F64 FDEEE708D514E FDF7401A6B42E
+    FDFF46599ED40 FE06FE4BC24F2 FE0E6C225A258 FE1593C28B84C FE1C78CBC3F99 FE231E9DB1CAA
+    FE29885DA1B91 FE2FB8FB54186 FE35B33558D4A FE3B799D0002A FE410E99EAD7F FE46746D47734
+    FE4BAD34C095C FE50BAED29524 FE559F74EBC78 FE5A5C8E41212 FE5EF3E138689 FE6366FD91078
+    FE67B75C6D578 FE6BE661E11AA FE6FF55E5F4F2 FE73E5900A702 FE77B823E9E39 FE7B6E37070A2
+    FE7F08D774243 FE8289053F08C FE85EFB35173A FE893DC840864 FE8C741F0CEBC FE8F9387D4EF6
+    FE929CC879B1D FE95909D388EA FE986FB939AA2 FE9B3AC714866 FE9DF2694B6D5 FEA0973ABE67C
+    FEA329CF166A4 FEA5AAB32952C FEA81A6D5741A FEAA797DE1CF0 FEACC85F3D920 FEAF07865E63C
+    FEB13762FEC13 FEB3585FE2A4A FEB56AE3162B4 FEB76F4E284FA FEB965FE62014 FEBB4F4CF9D7C
+    FEBD2B8F449D0 FEBEFB16E2E3E FEC0BE31EBDE8 FEC2752B15A15 FEC42049DAFD3 FEC5BFD29F196
+    FEC75406CEEF4 FEC8DD2500CB4 FECA5B6911F12 FECBCF0C427FE FECD38454FB15 FECE97488C8B3
+    FECFEC47F91B7 FED1377358528 FED278F844903 FED3B10242F4C FED4DFBAD586E FED605498C3DD
+    FED721D414FE8 FED8357E4A982 FED9406A42CC8 FEDA42B85B704 FEDB3C8746AB4 FEDC2DF416652
+    FEDD171A46E52 FEDDF813C8AD3 FEDED0F909980 FEDFA1E0FD414 FEE06AE124BC4 FEE12C0D95A06
+    FEE1E579006E0 FEE29734B6524 FEE34150AE4BC FEE3E3DB89B3C FEE47EE2982F4 FEE51271DB086
+    FEE59E9407F41 FEE623528B42E FEE6A0B5897F1 FEE716C3E077A FEE7858327B82 FEE7ECF7B06BA
+    FEE84D2484AB2 FEE8A60B66343 FEE8F7ACCC851 FEE94207E25DA FEE9851A829EA FEE9C0E13485C
+    FEE9F557273F4 FEEA22762CCAE FEEA4836B42AC FEEA668FC2D71 FEEA7D76ED6FA FEEA8CE04FA0A
+    FEEA94BE8333B FEEA950296410 FEEA8D9C0075E FEEA7E7897654 FEEA678481D24 FEEA48AA29E83
+    FEEA21D22E4DA FEE9F2E352024 FEE9BBC26AF2E FEE97C524F2E4 FEE93473C0A3A FEE8E40557516
+    FEE88AE369C7A FEE828E7F3DFD FEE7BDEA7B888 FEE749BFF37FF FEE6CC3A9BD5E FEE64529E007E
+    FEE5B45A32888 FEE51994E57B6 FEE474A0006CF FEE3C53E12C50 FEE30B2E02AD8 FEE2462AD8205
+    FEE175EB83C5A FEE09A22A1447 FEDFB27E349CC FEDEBEA76216C FEDDBE422047E FEDCB0ECE39D3
+    FEDB964042CF4 FEDA6DCE938C9 FED937237E98D FED7F1C38A836 FED69D2B9C02B FED538D06AE00
+    FED3C41DEA422 FED23E76A2FD8 FED0A732FE644 FECEFDA07FE34 FECD4100EB7B8 FECB708956EB4
+    FEC98B61230C1 FEC790A0DA978 FEC57F50F31FE FEC356686C962 FEC114CB4B335 FEBEB948E6FD0
+    FEBC429A0B692 FEB9AF5EE0CDC FEB6FE1C98542 FEB42D3AD1F9E FEB13B00B2D4B FEAE2591A02E9
+    FEAAEAE992257 FEA788D8EE326 FEA3FCFFD73E5 FEA044C8DD9F6 FE9C5D62F563B FE9843BA947A4
+    FE93F471D4728 FE8F6BD76C5D6 FE8AA5DC4E8E6 FE859E07AB1EA FE804F690A940 FE7AB488233C0
+    FE74C751F6AA5 FE6E8102AA202 FE67DA0B6ABD8 FE60C9F38307E FE5947338F742 FE51470977280
+    FE48BD436F458 FE3F9BFFD1E37 FE35D35EEB19C FE2B5122FE4FE FE20003995557 FE13C82788314
+    FE068C4EE67B0 FDF82B02B71AA FDE87C57EFEAA FDD7509C63BFD FDC46E529BF13 FDAF8F82E0282
+    FD985E1B2BA75 FD7E6EF48CF04 FD613ADBD650B FD40149E2F012 FD1A1A7B4C7AC FCEE204761F9E
+    FCBA8D85E11B2 FC7D26ECD2D22 FC32B2F1E22ED FBD6581C0B83A FB606C4005434 FAC40582A2874
+    F9E971E014598 F89FA48A41DFC F66C5F7F0302C F1A5A4B331C4A
+""".split()], dtype=np.uint64)
+_WI = np.array([float(w) for w in """
+    8.683627060801306e-16 4.779330175727737e-17 6.354352417405262e-17 7.454870481247696e-17
+    8.3293668157931e-17 9.068060405059482e-17 9.714860076567762e-17 1.0294750314241019e-16
+    1.0823430288447684e-16 1.131147019610903e-16 1.176635945702292e-16 1.2193617278714363e-16
+    1.2597439914637093e-16 1.2981099886264032e-16 1.3347203736824123e-16 1.3697864842571203e-16
+    1.4034823001242382e-16 1.4359529452056943e-16 1.4673208742364422e-16 1.4976904668391037e-16
+    1.5271515003596198e-16 1.5557818169460764e-16 1.5836494009290885e-16 1.6108140175274928e-16
+    1.6373285203969853e-16 1.6632399058420835e-16 1.6885901708676596e-16 1.713417017655966e-16
+    1.737754436586486e-16 1.7616331923000996e-16 1.7850812316976727e-16 1.8081240285799152e-16
+    1.830784876482675e-16 1.853085138861802e-16 1.8750444639373882e-16 1.896680970077476e-16
+    1.918011406483862e-16 1.9390512930625104e-16 1.9598150426628824e-16 1.9803160683128174e-16
+    2.000566877627333e-16 2.0205791562071654e-16 2.0403638415480212e-16 2.0599311887403706e-16
+    2.079290829041402e-16 2.0984518222370352e-16 2.1174227035760342e-16 2.1362115259449868e-16
+    2.1548258978581458e-16 2.1732730177564367e-16 2.191559705042727e-16 2.2096924282235318e-16
+    2.2276773304789553e-16 2.2455202529414355e-16 2.263226755928568e-16 2.280802138345017e-16
+    2.2982514554424684e-16 2.3155795351040804e-16 2.3327909928004356e-16 2.3498902453470955e-16
+    2.3668815235791604e-16 2.3837688840454243e-16 2.4005562198135063e-16 2.4172472704675025e-16
+    2.433845631371103e-16 2.4503547622614954e-16 2.466777995232705e-16 2.4831185421610877e-16
+    2.4993795016204524e-16 2.515563865329658e-16 2.5316745241713583e-16 2.547714273816944e-16
+    2.563685819989397e-16 2.579591783392867e-16 2.5954347043351707e-16 2.6112170470670194e-16
+    2.6269412038597256e-16 2.6426094988411895e-16 2.658224191608307e-16 2.6737874806323633e-16
+    2.689301506472616e-16 2.704768354811995e-16 2.720190059327732e-16 2.735568604408679e-16
+    2.7509059277301666e-16 2.7662039226963903e-16 2.781464440759544e-16 2.79668929362423e-16
+    2.8118802553450207e-16 2.827039064324479e-16 2.842167425218406e-16 2.8572670107546015e-16
+    2.87233946347098e-16 2.887386397378482e-16 2.9024093995538423e-16 2.9174100316669455e-16
+    2.9323898314471816e-16 2.947350314092935e-16 2.9622929736280665e-16 2.977219284209029e-16
+    2.992130701386013e-16 3.007028663321331e-16 3.0219145919680615e-16 3.036789894211802e-16
+    3.051655962978219e-16 3.0665141783089545e-16 3.081365908408297e-16 3.0962125106629225e-16
+    3.111055332636893e-16 3.125895713043999e-16 3.140734982699446e-16 3.1555744654528006e-16
+    3.1704154791040285e-16 3.1852593363044065e-16 3.2001073454440114e-16 3.214960811527447e-16
+    3.2298210370394156e-16 3.244689322801698e-16 3.2595669688230784e-16 3.2744552751437067e-16
+    3.2893555426753697e-16 3.3042690740391284e-16 3.3191971744017523e-16 3.3341411523123725e-16
+    3.3491023205407785e-16 3.364081996918765e-16 3.37908150518595e-16 3.394102175841489e-16
+    3.409145347003126e-16 3.424212365275018e-16 3.4393045866258313e-16 3.454423377278584e-16
+    3.4695701146137835e-16 3.4847461880874137e-16 3.499953000165381e-16 3.5151919672760744e-16
+    3.53046452078274e-16 3.5457721079774357e-16 3.5611161930983884e-16 3.5764982583726505e-16
+    3.59191980508603e-16 3.6073823546823514e-16 3.6228874498941915e-16 3.6384366559073444e-16
+    3.65403156156137e-16 3.669673780588701e-16 3.685364952894914e-16 3.7011067458828983e-16
+    3.716900855823823e-16 3.7327490092779435e-16 3.7486529645684887e-16 3.7646145133120287e-16
+    3.7806354820089604e-16 3.7967177336979443e-16 3.8128631696783774e-16 3.829073731305243e-16
+    3.8453514018609596e-16 3.8616982085091493e-16 3.878116224335587e-16 3.894607570481926e-16
+    3.9111744183782054e-16 3.9278189920805415e-16 3.944543570720877e-16 3.9613504910761354e-16
+    3.9782421502646826e-16 3.995221008578565e-16 4.012289592460629e-16 4.029450497636328e-16
+    4.04670639241075e-16 4.0640600211422504e-16 4.0815142079049387e-16 4.0990718603532664e-16
+    4.1167359738030257e-16 4.134509635544236e-16 4.1523960294026883e-16 4.170398440568316e-16
+    4.1885202607101123e-16 4.206764993399015e-16 4.2251362598620494e-16 4.243637805093078e-16
+    4.262273504347798e-16 4.2810473700531167e-16 4.2999635591638323e-16 4.3190263810026294e-16
+    4.338240305622791e-16 4.357609972736849e-16 4.3771402012585875e-16 4.3968359995105214e-16
+    4.4167025761542035e-16 4.4367453519065673e-16 4.456969972112043e-16 4.477382320247534e-16
+    4.49798853244555e-16 4.518795013130059e-16 4.539808451870034e-16 4.561035841567422e-16
+    4.582484498109567e-16 4.604162081631153e-16 4.626076619547846e-16 4.648236531543207e-16
+    4.670650656712631e-16 4.693328283093329e-16 4.716279179838351e-16 4.739513632325867e-16
+    4.763042480533137e-16 4.786877161048723e-16 4.811029753147417e-16 4.835513029411525e-16
+    4.860340511450812e-16 4.885526531353603e-16 4.91108629959527e-16 4.937035980240335e-16
+    4.963392774403987e-16 4.990175013091822e-16 5.017402260718089e-16 5.045095430818727e-16
+    5.073276915733542e-16 5.101970732341562e-16 5.131202686306784e-16 5.161000557743228e-16
+    5.191394311757699e-16 5.222416338000234e-16 5.254101724177597e-16 5.286488569504945e-16
+    5.3196183453384e-16 5.353536311816497e-16 5.388292001334053e-16 5.423939782201712e-16
+    5.46053951907478e-16 5.498157350892814e-16 5.536866612467876e-16 5.576748932926576e-16
+    5.617895553555417e-16 5.660408920082422e-16 5.704404621291389e-16 5.750013768919895e-16
+    5.797385945724594e-16 5.846692893455479e-16 5.898133176477899e-16 5.951938149641444e-16
+    6.008379696271908e-16 6.067780409333449e-16 6.130527208725282e-16 6.197089894581626e-16
+    6.268046963301284e-16 6.344122407127506e-16 6.426239659548055e-16 6.515603317344994e-16
+    6.613827885097664e-16 6.723150462505587e-16 6.846803417564259e-16 6.98971833638762e-16
+    7.159994934830664e-16 7.372424301798799e-16 7.658936370805573e-16 8.113849337656484e-16
+""".split()])
 
 
 def splitmix64(z: int) -> int:

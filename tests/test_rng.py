@@ -160,7 +160,7 @@ class TestReadAhead:
             np.array([0, 2, 4096, 10]),  # not consecutive
             np.arange(4090, 4200),  # runs past the block: a new one from 4090
             np.arange(3, 8),  # before the block
-            np.arange(0, 9000),  # longer than BLOCK_ROWS
+            np.arange(0, 9000),  # longer than a block
             np.arange(8990, 9000),  # the tail of that block
             np.array([-2, -1, 0, 1], dtype=np.int64),  # consecutive mod 2^64
             np.array([0, 1, 2]),  # inside the wrapped block
