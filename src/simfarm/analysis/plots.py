@@ -5,12 +5,24 @@ fixed canvas geometry, fixed number formatting, no timestamps or random ids.
 Scatter points are ``<circle class="pt">`` elements, histogram bars and
 heatmap cells are ``<rect class="bar">`` / ``<rect class="cell">`` elements,
 which also makes the outputs easy to assert on.
+
+Each kind is drawn by one generator of pieces of SVG text: the header (the
+prolog, the title and the axes), the elements ``_SCATTER_BLOCK`` at a time,
+and the footer.  A block's numbers are spelled by :func:`format_g_cells` and
+its rows joined by :func:`join_cell_rows`, without a Python call per element.
+:func:`emit_plot` takes the header before it opens the file, so data that is
+rejected (empty, non-finite, of the wrong shape) raises before the file is
+created or an existing one touched; it then writes each piece as soon as it
+exists.  Beside the input arrays, writing a plot therefore holds one block of
+text at a time, whatever the number of points.  The ``render_*`` functions
+return the same pieces joined.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -21,33 +33,43 @@ from .eda import fd_bin_count
 __all__ = ["emit_plot", "render_scatter", "render_histogram", "render_heatmap"]
 
 _WIDTH, _HEIGHT = 640, 480
-_SCATTER_BLOCK = 4096  # points spelled by one row matrix
+_SCATTER_BLOCK = 4096  # elements (points, bars, cells) spelled by one row matrix
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 48, 56
+_FOOTER = "\n</svg>\n"
 
 # compact viridis-style gradient anchors (position, r, g, b)
-_GRADIENT = (
+_GRADIENT = np.array([
     (0.0, 68, 1, 84),
     (0.25, 59, 82, 139),
     (0.5, 33, 145, 140),
     (0.75, 94, 201, 98),
     (1.0, 253, 231, 37),
-)
+])
+_STOPS, _RGB = _GRADIENT[:, 0], _GRADIENT[:, 1:]
+_HEX = np.frombuffer(b"".join(b"%02x" % i for i in range(256)), np.uint8).reshape(256, 2)
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
-def _color(t: float) -> str:
-    t = min(1.0, max(0.0, t))
-    for (p0, r0, g0, b0), (p1, r1, g1, b1) in zip(_GRADIENT, _GRADIENT[1:]):
-        if t <= p1:
-            w = 0.0 if p1 == p0 else (t - p0) / (p1 - p0)
-            r = round(r0 + w * (r1 - r0))
-            g = round(g0 + w * (g1 - g0))
-            b = round(b0 + w * (b1 - b0))
-            return f"#{r:02x}{g:02x}{b:02x}"
-    return "#fde725"
+def _colors(v: np.ndarray, lo: float, span: float) -> np.ndarray:
+    """``#rrggbb`` of each value's gradient position ``t = (v - lo) / span``,
+    clipped to [0, 1], as a byte matrix.
+
+    A channel is ``c0 + w * (c1 - c0)`` on the segment whose upper stop is the
+    first at or above ``t``, rounded half to even by ``rint`` as ``round`` does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a span of inf: t may be NaN
+        t = (v - lo) / span
+    t = np.minimum(np.fmax(t, 0.0), 1.0)  # NaN becomes 0, as max(0.0, t) makes it
+    seg = np.searchsorted(_STOPS[1:], t)
+    w = (t - _STOPS[seg]) / (_STOPS[seg + 1] - _STOPS[seg])
+    rgb = np.rint(_RGB[seg] + w[:, None] * (_RGB[seg + 1] - _RGB[seg])).astype(np.intp)
+    out = np.empty((len(t), 7), np.uint8)
+    out[:, 0] = ord("#")
+    out[:, 1:] = _HEX[rgb].reshape(len(t), 6)
+    return out
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -74,6 +96,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 class _Canvas:
+    """The fixed frame of a plot; its ``parts`` are the lines of the header."""
+
     def __init__(self, title: str, xlabel: str, ylabel: str):
         self.parts: list[str] = [
             '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -139,8 +163,8 @@ class _Canvas:
             f'transform="rotate(-90 18 {(self.y0 + self.y1) / 2})">{_escape(self.ylabel)}</text>'
         )
 
-    def finish(self) -> str:
-        return "\n".join(self.parts) + "\n</svg>\n"
+    def header(self) -> str:
+        return "\n".join(self.parts)
 
 
 def _escape(s: str) -> str:
@@ -155,28 +179,40 @@ def _pad_range(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def render_scatter(x, y, title: str, xlabel: str, ylabel: str) -> str:
+def _element_pieces(n: int, spell: Callable[[slice], list]) -> Iterator[str]:
+    """The rows of ``n`` elements, one piece per ``_SCATTER_BLOCK`` of them.
+
+    ``spell(s)`` gives the parts of the rows of the elements ``s`` (a slice)
+    for :func:`join_cell_rows`; each row starts with its line break.
+    """
+    for lo in range(0, n, _SCATTER_BLOCK):
+        yield join_cell_rows(spell(slice(lo, lo + _SCATTER_BLOCK)), min(_SCATTER_BLOCK, n - lo))
+
+
+def _scatter_pieces(x, y, title: str, xlabel: str, ylabel: str) -> Iterator[str]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size == 0 or x.shape != y.shape:
         raise InvalidArgumentError("scatter needs two equal-length non-empty arrays")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidArgumentError("scatter needs finite x and y values")
+    x, y = x.reshape(-1), y.reshape(-1)
     cv = _Canvas(title, xlabel, ylabel)
     xlo, xhi = _pad_range(float(x.min()), float(x.max()))
     ylo, yhi = _pad_range(float(y.min()), float(y.max()))
     cv.axes(xlo, xhi, ylo, yhi)
-    cx, cy = cv.map_x(x, xlo, xhi).ravel(), cv.map_y(y, ylo, yhi).ravel()
-    # format_g_cells(v, 6) spells "%.6g" % v, which equals _fmt(v), for every double
-    for lo in range(0, len(cx), _SCATTER_BLOCK):
-        parts = [b'<circle class="pt" cx="', format_g_cells(cx[lo : lo + _SCATTER_BLOCK], 6),
-                 b'" cy="', format_g_cells(cy[lo : lo + _SCATTER_BLOCK], 6),
-                 b'" r="2.5" fill="#1f77b4" fill-opacity="0.7"/>\n']
-        cv.parts.append(join_cell_rows(parts, len(parts[1]))[:-1])
-    return cv.finish()
+    yield cv.header()
+    # format_g_cells(v, 6) spells "%.6g" % v, which equals _fmt(v), for every double;
+    # map_x and map_y are elementwise, so a block maps to the bits of the whole
+    yield from _element_pieces(len(x), lambda s: [
+        b'\n<circle class="pt" cx="', format_g_cells(cv.map_x(x[s], xlo, xhi), 6),
+        b'" cy="', format_g_cells(cv.map_y(y[s], ylo, yhi), 6),
+        b'" r="2.5" fill="#1f77b4" fill-opacity="0.7"/>',
+    ])
+    yield _FOOTER
 
 
-def render_histogram(values, title: str, xlabel: str, ylabel: str = "count") -> str:
+def _histogram_pieces(values, title: str, xlabel: str, ylabel: str) -> Iterator[str]:
     x = np.asarray(values, dtype=np.float64)
     x = x[~np.isnan(x)]
     if x.size == 0:
@@ -190,25 +226,21 @@ def render_histogram(values, title: str, xlabel: str, ylabel: str = "count") -> 
         xlo, xhi = _pad_range(xlo, xhi)
     ylo, yhi = 0.0, float(counts.max()) * 1.05
     cv.axes(xlo, xhi, ylo, yhi)
-    for c, e0, e1 in zip(counts, edges, edges[1:]):
-        px0 = cv.map_x(float(e0), xlo, xhi)
-        px1 = cv.map_x(float(e1), xlo, xhi)
-        py = cv.map_y(float(c), ylo, yhi)
-        cv.parts.append(
-            f'<rect class="bar" x="{_fmt(px0)}" y="{_fmt(py)}" '
-            f'width="{_fmt(max(px1 - px0 - 1.0, 0.5))}" height="{_fmt(cv.y0 - py)}" '
-            'fill="#1f77b4" stroke="#ffffff" stroke-width="0.5"/>'
-        )
-    return cv.finish()
+    yield cv.header()
+    px = cv.map_x(edges, xlo, xhi)
+    left, width = px[:-1], np.maximum(np.diff(px) - 1.0, 0.5)
+    py = cv.map_y(counts.astype(np.float64), ylo, yhi)
+    yield from _element_pieces(len(counts), lambda s: [
+        b'\n<rect class="bar" x="', format_g_cells(left[s], 6),
+        b'" y="', format_g_cells(py[s], 6),
+        b'" width="', format_g_cells(width[s], 6),
+        b'" height="', format_g_cells(cv.y0 - py[s], 6),
+        b'" fill="#1f77b4" stroke="#ffffff" stroke-width="0.5"/>',
+    ])
+    yield _FOOTER
 
 
-def render_heatmap(
-    matrix,
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    extent: tuple[float, float, float, float] | None = None,
-) -> str:
+def _heatmap_pieces(matrix, title: str, xlabel: str, ylabel: str, extent) -> Iterator[str]:
     grid = np.asarray(matrix, dtype=np.float64)
     if grid.ndim != 2 or grid.size == 0:
         raise InvalidArgumentError("heatmap needs a non-empty 2-D matrix")
@@ -220,39 +252,55 @@ def render_heatmap(
     span = vhi - vlo if vhi > vlo else 1.0
     cv = _Canvas(title, xlabel, ylabel)
     cv.axes(xlo, xhi, ylo, yhi)
-    for r in range(rows):
-        for c in range(cols):
-            v = grid[r, c]
-            if math.isnan(v):
-                continue
-            px0 = cv.map_x(xlo + c / cols * (xhi - xlo), xlo, xhi)
-            px1 = cv.map_x(xlo + (c + 1) / cols * (xhi - xlo), xlo, xhi)
-            py0 = cv.map_y(ylo + r / rows * (yhi - ylo), ylo, yhi)
-            py1 = cv.map_y(ylo + (r + 1) / rows * (yhi - ylo), ylo, yhi)
-            cv.parts.append(
-                f'<rect class="cell" x="{_fmt(px0)}" y="{_fmt(py1)}" '
-                f'width="{_fmt(px1 - px0)}" height="{_fmt(py0 - py1)}" '
-                f'fill="{_color((float(v) - vlo) / span)}"/>'
-            )
+    yield cv.header()
+    # cell (r, c) spans the column edges c, c + 1 and the row edges r, r + 1
+    px = cv.map_x(xlo + np.arange(cols + 1) / cols * (xhi - xlo), xlo, xhi)
+    py = cv.map_y(ylo + np.arange(rows + 1) / rows * (yhi - ylo), ylo, yhi)
+    col_x, col_w = format_g_cells(px[:-1], 6), format_g_cells(np.diff(px), 6)
+    row_y, row_h = format_g_cells(py[1:], 6), format_g_cells(py[:-1] - py[1:], 6)
+    values = grid.reshape(-1)
+    cells = np.flatnonzero(~np.isnan(values))  # row-major; NaN cells are skipped
+    r, c = np.divmod(cells, cols)
+    yield from _element_pieces(len(cells), lambda s: [
+        b'\n<rect class="cell" x="', col_x[c[s]], b'" y="', row_y[r[s]],
+        b'" width="', col_w[c[s]], b'" height="', row_h[r[s]],
+        b'" fill="', _colors(values[cells[s]], vlo, span), b'"/>',
+    ])
     # color legend: vertical gradient bar with min/max labels
     lx = _WIDTH - _MARGIN_R + 6
     steps = 24
     bar_h = (cv.y0 - cv.y1) / steps
-    for s in range(steps):
-        t = 1.0 - (s + 0.5) / steps
-        cv.parts.append(
-            f'<rect class="legend" x="{lx}" y="{_fmt(cv.y1 + s * bar_h)}" '
-            f'width="12" height="{_fmt(bar_h + 0.5)}" fill="{_color(t)}"/>'
-        )
-    cv.parts.append(
-        f'<text x="{lx + 14}" y="{cv.y1 + 10}" font-family="sans-serif" '
+    s = np.arange(steps)
+    legend = join_cell_rows([
+        f'\n<rect class="legend" x="{lx}" y="'.encode(), format_g_cells(cv.y1 + s * bar_h, 6),
+        f'" width="12" height="{_fmt(bar_h + 0.5)}" fill="'.encode(),
+        _colors(1.0 - (s + 0.5) / steps, 0.0, 1.0), b'"/>',
+    ], steps)
+    yield (
+        f'{legend}\n<text x="{lx + 14}" y="{cv.y1 + 10}" font-family="sans-serif" '
         f'font-size="10" text-anchor="start">{_fmt(vhi)}</text>'
-    )
-    cv.parts.append(
-        f'<text x="{lx + 14}" y="{cv.y0}" font-family="sans-serif" '
+        f'\n<text x="{lx + 14}" y="{cv.y0}" font-family="sans-serif" '
         f'font-size="10" text-anchor="start">{_fmt(vlo)}</text>'
     )
-    return cv.finish()
+    yield _FOOTER
+
+
+def render_scatter(x, y, title: str, xlabel: str, ylabel: str) -> str:
+    return "".join(_scatter_pieces(x, y, title, xlabel, ylabel))
+
+
+def render_histogram(values, title: str, xlabel: str, ylabel: str = "count") -> str:
+    return "".join(_histogram_pieces(values, title, xlabel, ylabel))
+
+
+def render_heatmap(
+    matrix,
+    title: str,
+    xlabel: str,
+    ylabel: str,
+    extent: tuple[float, float, float, float] | None = None,
+) -> str:
+    return "".join(_heatmap_pieces(matrix, title, xlabel, ylabel, extent))
 
 
 def emit_plot(
@@ -264,21 +312,29 @@ def emit_plot(
     ylabel: str = "",
     extent: tuple[float, float, float, float] | None = None,
 ) -> None:
-    """Write an SVG plot; ``data`` must match ``kind`` (see render_* helpers)."""
+    """Write an SVG plot; ``data`` must match ``kind`` (see render_* helpers).
+
+    Scatter data is ``(x, y)`` when it is a tuple or list of two sequences
+    (1-D, of equal length); anything else must be an array of shape (n, 2),
+    one point a row.  So ``([1, 2], [30, 40])`` is the points (1, 30) and
+    (2, 40).  Invalid data raises before ``path`` is opened.
+    """
     if kind == "scatter":
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 2 and arr.shape[1] == 2:
-            x, y = arr[:, 0], arr[:, 1]
-        elif isinstance(data, (tuple, list)) and len(data) == 2:
+        if isinstance(data, (tuple, list)) and len(data) == 2:
             x, y = data
         else:
-            raise InvalidArgumentError("scatter data must be (x, y) or an n x 2 matrix")
-        svg = render_scatter(x, y, title, xlabel, ylabel or "y")
+            arr = np.asarray(data, dtype=np.float64)
+            if arr.ndim != 2 or arr.shape[1] != 2:
+                raise InvalidArgumentError("scatter data must be (x, y) or an n x 2 matrix")
+            x, y = arr[:, 0], arr[:, 1]
+        pieces = _scatter_pieces(x, y, title, xlabel, ylabel or "y")
     elif kind == "histogram":
-        svg = render_histogram(data, title, xlabel or "value")
+        pieces = _histogram_pieces(data, title, xlabel or "value", "count")
     elif kind == "heatmap":
-        svg = render_heatmap(data, title, xlabel, ylabel, extent=extent)
+        pieces = _heatmap_pieces(data, title, xlabel, ylabel, extent)
     else:
         raise InvalidArgumentError(f"unknown plot kind {kind!r}")
+    header = next(pieces)  # validates the data
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+        fh.write(header)
+        fh.writelines(pieces)

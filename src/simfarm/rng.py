@@ -192,12 +192,12 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _index_word(i) -> int:
-    """``i mod 2^64`` for an integer stream index; anything else is refused."""
+def _index_word(i, what: str = "stream index") -> int:
+    """``i mod 2^64`` for an integer seed or stream index; anything else is refused."""
     try:
         return operator.index(i) & _MASK64
     except TypeError:
-        raise InvalidArgumentError(f"stream index must be an integer, got {i!r}") from None
+        raise InvalidArgumentError(f"{what} must be an integer, got {i!r}") from None
 
 
 def stream_index(*indices: int) -> int:
@@ -210,7 +210,7 @@ def stream_index(*indices: int) -> int:
 
 def substream(seed: int, *indices: int) -> np.random.Generator:
     """Independent generator for the stream ``(seed, *indices)``."""
-    key = np.array([int(seed) & _MASK64, stream_index(*indices)], dtype=np.uint64)
+    key = np.array([_index_word(seed, "seed"), stream_index(*indices)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -243,7 +243,7 @@ def _mulhi(m: int, b: np.ndarray) -> np.ndarray:
 def _philox_first_words(seed: int, mixes: np.ndarray) -> np.ndarray:
     """Word 0 of Philox4x64-10 at counter ``[1, 0, 0, 0]`` and key ``[seed, mix]``
     for every ``mix``: the first ``random_raw()`` of a fresh ``Philox(key=...)``."""
-    k0, k1 = int(seed) & _MASK64, mixes
+    k0, k1 = _index_word(seed, "seed"), mixes
     # Round 1: of the products M0 * 1 and M1 * 0, only the low word M0 is not zero.
     c0 = np.full(len(mixes), k0, dtype=np.uint64)
     c1 = np.zeros(len(mixes), dtype=np.uint64)
@@ -280,7 +280,7 @@ def _reset_per_row(seed: int, mixes: np.ndarray) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    seed_word = int(seed) & _MASK64
+    seed_word = _index_word(seed, "seed")
     out = np.empty(len(mixes), dtype=np.float64)
     for j, mix in enumerate(mixes.tolist()):
         fresh["key"] = [seed_word, mix]
@@ -297,6 +297,7 @@ def first_standard_normals(seed: int, indices) -> np.ndarray:
     arrays, ``_BLOCK_ROWS`` rows at a time, and a per-row generator reset
     for the rows that path rejects.
     """
+    seed = _index_word(seed, "seed")  # refused even when there are no indices
     mixes = _splitmix64_words(_index_words(indices))
     out = np.empty(len(mixes), dtype=np.float64)
     for start in range(0, len(mixes), _BLOCK_ROWS):
@@ -322,6 +323,7 @@ def read_ahead_normals(seed: int):
     ``max(len, _BLOCK_ROWS)`` rows from its first index.  Any other index set
     is drawn exactly.  Every row has the same bytes as drawing it alone.
     """
+    seed = _index_word(seed, "seed")  # refused here, not at the first draw
     last = (0, np.empty(0))  # (first index mod 2^64, its block of normals)
 
     def normals(indices) -> np.ndarray:

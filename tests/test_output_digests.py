@@ -3,7 +3,8 @@
 The digests pin every CSV, SVG and report the ``casestudy`` and ``run``
 commands write, and every saved model, CV report and prediction CSV that
 ``model train``, ``model search`` and ``model predict`` write on a mixed
-table and on a table of numeric class labels, so a change to a writer, a
+table and on a table of numeric class labels, and the histogram and heatmap
+SVGs of ``analyze eda --svg-dir``, so a change to a writer, a
 formatter, the simulator, the preprocessor or a model family that alters any
 output byte fails here.  Reports are hashed with their timing field
 (``chunk_seconds``) removed, as canonical JSON.  A digest may change
@@ -19,6 +20,7 @@ import pytest
 from simfarm import simkit
 from simfarm.cli import dispatch
 from simfarm.doe import dump_factors
+from simfarm.tables import ResultTable
 
 
 def file_digest(path) -> str:
@@ -41,6 +43,20 @@ CASESTUDY_DIGESTS = {
 }
 CASESTUDY_REPORT_DIGEST = "26e2d1c5f54504d809c275e78109e8a80927a2f8835244a8e26208cc680267f8"
 
+# A 400-row table with 20 failed rows: a normal column, a correlated column
+# with NaN holes and heavy tails, a few-valued column, magnitudes from 1e-3 to
+# 1e6 and a constant column (one histogram bar; a row and column of zeros in
+# the Pearson matrix).
+EDA_SVG_DIGESTS = {
+    "hist_a.svg": "626c00cc4c655c39779c290efdba25b3e4ccd84f58c8b7aa46e82ace4cccb357",
+    "hist_b.svg": "27d3eb2482e3a36659da9b323a3a76f0552f8f4c1bc2a8e61e8ec186aa95ee2a",
+    "hist_c.svg": "04c7907fd0800708775be337907cf878e13f2164588a79aaa5a18568964b9961",
+    "hist_d.svg": "e6f6266ba8f0932b542241c3cd94f1e4476bba345552f7e4b0ed0d1662ca5de9",
+    "hist_k.svg": "dfd4fa0b511e851c0ff564ba46eeeb22badb1883d3c92a98da22d41e867df6d3",
+    "pearson_heatmap.svg": "61d63e6ab24130f95958efae72f43dae9ab6c5d1b802513c0e13fe25268419a7",
+}
+
+
 RUN_DIGESTS = {
     "design.csv": "cf9388ec9728e45b135888b620d1ce1fa67570f787d3f618e0c245fcc3bc7fdd",
     "results.csv": "ac36e88b92f6a5e3d87c559e8ff6593b55cc36996340b015d2f3740604490401",
@@ -57,6 +73,24 @@ def test_casestudy_outputs_are_byte_identical(tmp_path):
     ]) == 0
     assert {name: file_digest(out / name) for name in CASESTUDY_DIGESTS} == CASESTUDY_DIGESTS
     assert report_digest(out / "execution_report.json") == CASESTUDY_REPORT_DIGEST
+
+
+def test_eda_svgs_are_byte_identical(tmp_path):
+    g = np.random.default_rng(8)
+    n = 400
+    a = g.normal(10.0, 3.0, n)
+    b = 0.5 * a + g.standard_cauchy(n)
+    b[g.random(n) < 0.1] = np.nan
+    status = np.ones(n, dtype=bool)
+    status[g.choice(n, 20, replace=False)] = False
+    ResultTable(index=np.arange(n), status=status, columns={
+        "a": a, "b": b, "c": g.integers(0, 5, n).astype(float),
+        "d": g.uniform(-1.0, 1.0, n) * 10.0 ** g.integers(-3, 7, n), "k": np.full(n, 2.5),
+    }).to_csv(tmp_path / "table.csv")
+    out = tmp_path / "svg"
+    assert dispatch(["analyze", "eda", "--data", str(tmp_path / "table.csv"),
+                     "--out", str(tmp_path / "eda.json"), "--svg-dir", str(out)]) == 0
+    assert {path.name: file_digest(path) for path in out.iterdir()} == EDA_SVG_DIGESTS
 
 
 def test_run_stopped_mid_design_outputs_are_byte_identical(tmp_path):

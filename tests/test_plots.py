@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -65,7 +66,7 @@ class TestScatter:
                     f'cy="{plots._fmt(cv.map_y(yi, ylo, yhi))}" r="2.5" fill="#1f77b4" '
                     'fill-opacity="0.7"/>'
                 )
-            return cv.finish()
+            return "\n".join(cv.parts) + "\n</svg>\n"  # the whole-string writer's join
 
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             # a non-finite bound fails in the per-point loop's axis ticks; the renderer
@@ -100,7 +101,7 @@ class TestScatter:
             for lo in range(0, len(xy), 4096):
                 block = xy[lo : lo + 4096]
                 cv.parts.append("\n".join([point] * len(block)) % tuple(block.ravel().tolist()))
-            return cv.finish()
+            return "\n".join(cv.parts) + "\n</svg>\n"  # the whole-string writer's join
 
         g = substream(seed, 40)
         n = 10_000
@@ -114,6 +115,26 @@ class TestScatter:
         path = tmp_path / "scatter.svg"
         emit_plot(np.array([[0.0, 1.0], [1.0, 0.0]]), "scatter", path)
         assert len(svg_elements(path, "pt")) == 2
+
+    def test_two_columns_of_two_values_are_x_and_y(self, tmp_path):
+        # np.asarray of such a pair is a 2 x 2 matrix, which must not be read as two points
+        path = tmp_path / "scatter.svg"
+        want = render_scatter([1.0, 2.0], [30.0, 40.0], "", "", "y").encode("utf-8")
+        for data in (([1.0, 2.0], [30.0, 40.0]), [[1.0, 2.0], [30.0, 40.0]],
+                     (np.array([1.0, 2.0]), np.array([30.0, 40.0])),
+                     np.array([[1.0, 30.0], [2.0, 40.0]])):  # an n x 2 array: one point a row
+            emit_plot(data, "scatter", path)
+            assert path.read_bytes() == want
+        assert want != render_scatter([1.0, 30.0], [2.0, 40.0], "", "", "y").encode("utf-8")
+
+    def test_two_point_casestudy_plots_time_of_flight_against_fuel(self, tmp_path):
+        out = tmp_path / "cs"
+        assert dispatch(["casestudy", "navigation", "--out", str(out), "--n", "2"]) == 0
+        results = ResultTable.from_csv(out / "results.csv")
+        want = render_scatter(results.column("time_of_flight"), results.column("fuel_consumed"),
+                              "Time of flight vs. fuel consumed", "time of flight [s]",
+                              "fuel consumed [lb]")
+        assert (out / "scatter_time_fuel.svg").read_bytes() == want.encode("utf-8")
 
 
 class TestHistogram:
@@ -174,6 +195,72 @@ class TestDeterminismAndErrors:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             emit_plot([1.0], "sparkline", tmp_path / "x.svg")
+
+
+class TestStreamedWriter:
+    def cases(self):
+        g = substream(6, 0)
+        x, y = g.normal(0, 1, 100) * 10.0 ** g.integers(-6, 8, 100), g.standard_cauchy(100)
+        values = g.normal(0, 1, 500)
+        grid = g.normal(0, 1, (9, 11))
+        grid[g.random((9, 11)) < 0.2] = np.nan
+        title = "\u0394t \u2264 5 & <x>"  # escaped and encoded as UTF-8
+        return [
+            ((x, y), "scatter", "pt", lambda: render_scatter(x, y, title, "a", "b")),
+            (np.stack([x, y], axis=1), "scatter", "pt",
+             lambda: render_scatter(x, y, title, "a", "b")),
+            (values, "histogram", "bar", lambda: plots.render_histogram(values, title, "a")),
+            (grid, "heatmap", "cell",
+             lambda: plots.render_heatmap(grid, title, "a", "b", extent=(0.0, 5.0, -1.0, 1.0))),
+        ], title
+
+    def test_file_bytes_equal_the_rendered_string_in_one_block_or_many(self, tmp_path, monkeypatch):
+        cases, title = self.cases()
+        path = tmp_path / "plot.svg"
+        for data, kind, element, render in cases:
+            monkeypatch.setattr(plots, "_SCATTER_BLOCK", 1 << 20)
+            whole = render()
+            assert whole.count(f'class="{element}"') > 2 * 7
+            monkeypatch.setattr(plots, "_SCATTER_BLOCK", 7)  # several blocks and a short last one
+            assert render() == whole
+            emit_plot(data, kind, path, title=title, xlabel="a", ylabel="b",
+                      extent=(0.0, 5.0, -1.0, 1.0))
+            assert path.read_bytes() == whole.encode("utf-8"), kind
+
+    def test_scatter_of_256_000_points_is_written_in_bounded_memory(self, tmp_path):
+        g = substream(5, 0)
+        n = 256_000
+        x, y = g.normal(0, 1, n) * 1e3, g.standard_cauchy(n)
+        path = tmp_path / "big.svg"
+        tracemalloc.start()
+        try:
+            emit_plot((x, y), "scatter", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 20 << 20  # the whole text is five times the bound
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize(
+        "data, kind",
+        [
+            (([], []), "scatter"),
+            (([1.0, np.nan], [1.0, 2.0]), "scatter"),
+            (([1.0, 2.0, 3.0], [1.0, 2.0]), "scatter"),
+            (np.ones((3, 3)), "scatter"),
+            ([], "histogram"),
+            ([1.0, np.inf], "histogram"),
+            (np.ones(4), "heatmap"),
+            (np.full((2, 2), np.nan), "heatmap"),
+            ([1.0], "sparkline"),
+        ],
+    )
+    def test_rejected_plot_leaves_an_existing_file_untouched(self, tmp_path, data, kind):
+        path = tmp_path / "plot.svg"
+        path.write_bytes(b"<svg>earlier plot</svg>\n")
+        with pytest.raises(InvalidArgumentError):
+            emit_plot(data, kind, path)
+        assert path.read_bytes() == b"<svg>earlier plot</svg>\n"
 
 
 def _limit_child_memory():

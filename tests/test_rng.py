@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simfarm import rng
+from simfarm.doe import lhs_design
 from simfarm.errors import InvalidArgumentError
 from simfarm.rng import _splitmix64_words, first_standard_normals, splitmix64, stream_index
 from simfarm.rng import read_ahead_normals, substream
+from simfarm.simkit import navigation_factors
 
 
 def reference(seed, indices):
@@ -203,6 +205,35 @@ class TestSplitmix64:
             stream_index(0, index)
         with pytest.raises(InvalidArgumentError, match="stream index must be an integer"):
             substream(7, index)
+
+    @pytest.mark.parametrize("seed, named", [
+        (7.9, "7.9"), (7.0, "7.0"), (np.float64(3.7), "3.7"), (float("nan"), "nan"),
+        ("7", "'7'"), (None, "None"),
+    ])
+    def test_non_integer_seed_is_refused_not_truncated(self, seed, named):
+        message = f"seed must be an integer, got .*{named}"
+        mixes = np.array([stream_index(0)], dtype=np.uint64)
+        calls = [
+            lambda: substream(seed, 0),
+            lambda: first_standard_normals(seed, [0, 1]),
+            lambda: first_standard_normals(seed, []),
+            lambda: rng._philox_first_words(seed, mixes),
+            lambda: rng._reset_per_row(seed, mixes),
+            lambda: read_ahead_normals(seed),
+            lambda: lhs_design(navigation_factors(), 5, seed=seed),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match=message):
+                call()
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int32(7), True])
+    def test_integer_seeds_of_any_type_keep_their_streams(self, seed):
+        want = substream(int(seed), 2).random(4)
+        assert np.array_equal(substream(seed, 2).random(4), want)
+        assert np.array_equal(first_standard_normals(seed, np.arange(5)),
+                              first_standard_normals(int(seed), np.arange(5)))
+        assert np.array_equal(read_ahead_normals(seed)(np.arange(5)),
+                              first_standard_normals(int(seed), np.arange(5)))
 
     def test_stream_index_matches_array_path(self):
         assert stream_index() == 0
