@@ -198,24 +198,21 @@ class TestDeterminismAndErrors:
 
 
 class TestStreamedWriter:
-    def cases(self):
+    def test_file_bytes_equal_the_rendered_string_in_one_block_or_many(self, tmp_path, monkeypatch):
         g = substream(6, 0)
         x, y = g.normal(0, 1, 100) * 10.0 ** g.integers(-6, 8, 100), g.standard_cauchy(100)
         values = g.normal(0, 1, 500)
         grid = g.normal(0, 1, (9, 11))
         grid[g.random((9, 11)) < 0.2] = np.nan
         title = "\u0394t \u2264 5 & <x>"  # escaped and encoded as UTF-8
-        return [
+        extent = (0.0, 5.0, -1.0, 1.0)
+        cases = [
             ((x, y), "scatter", "pt", lambda: render_scatter(x, y, title, "a", "b")),
             (np.stack([x, y], axis=1), "scatter", "pt",
              lambda: render_scatter(x, y, title, "a", "b")),
             (values, "histogram", "bar", lambda: plots.render_histogram(values, title, "a")),
-            (grid, "heatmap", "cell",
-             lambda: plots.render_heatmap(grid, title, "a", "b", extent=(0.0, 5.0, -1.0, 1.0))),
-        ], title
-
-    def test_file_bytes_equal_the_rendered_string_in_one_block_or_many(self, tmp_path, monkeypatch):
-        cases, title = self.cases()
+            (grid, "heatmap", "cell", lambda: plots.render_heatmap(grid, title, "a", "b", extent)),
+        ]
         path = tmp_path / "plot.svg"
         for data, kind, element, render in cases:
             monkeypatch.setattr(plots, "_SCATTER_BLOCK", 1 << 20)
@@ -223,8 +220,7 @@ class TestStreamedWriter:
             assert whole.count(f'class="{element}"') > 2 * 7
             monkeypatch.setattr(plots, "_SCATTER_BLOCK", 7)  # several blocks and a short last one
             assert render() == whole
-            emit_plot(data, kind, path, title=title, xlabel="a", ylabel="b",
-                      extent=(0.0, 5.0, -1.0, 1.0))
+            emit_plot(data, kind, path, title=title, xlabel="a", ylabel="b", extent=extent)
             assert path.read_bytes() == whole.encode("utf-8"), kind
 
     def test_scatter_of_256_000_points_is_written_in_bounded_memory(self, tmp_path):
